@@ -10,7 +10,8 @@ A from-scratch Very Fast Decision Tree over numeric features:
 - ``growth_events`` counter so FiCSUM can detect "the tree learned a new
   branch" and reset classifier-dependent fingerprint dimensions
   (Section IV plasticity);
-- ``feature_contributions`` — Saabas-style path attribution used as the
+- ``feature_contributions`` (per row) and ``feature_contributions_batch``
+  (per window) — Saabas-style path attribution used as the
   Shapley-value meta-information feature (DESIGN.md substitution #3).
 """
 from __future__ import annotations
@@ -235,6 +236,34 @@ class HoeffdingTree:
             cur_p = cc / cc.sum() if cc.sum() > 0 else prev_p
             contrib[parent.split_feature] += float(np.abs(cur_p - prev_p).sum()) / 2
             prev_p = cur_p
+        return contrib
+
+    def feature_contributions_batch(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`feature_contributions` of every row of ``X``, as a
+        (len(X), n_features) array bit-identical to stacking the per-row
+        calls.
+
+        All rows are routed down the tree together, node by node; each
+        edge's |Δp|/2 is computed once and added to the rows that take
+        it, in root→leaf order as the per-row walk adds it.
+        """
+        contrib = np.zeros((len(X), self.n_features))
+        cc = self.root.stats.class_counts
+        p = cc / cc.sum() if cc.sum() > 0 else np.full(self.n_classes, 1 / self.n_classes)
+        stack = [(self.root, np.arange(len(X)), p)]
+        while stack:
+            node, rows, prev_p = stack.pop()
+            if node.is_leaf:
+                continue
+            feat = node.split_feature
+            left = X[rows, feat] <= node.threshold
+            for child, sub in ((node.left, rows[left]), (node.right, rows[~left])):
+                if not sub.size:
+                    continue
+                cc = child.stats.class_counts
+                cur_p = cc / cc.sum() if cc.sum() > 0 else prev_p
+                contrib[sub, feat] += float(np.abs(cur_p - prev_p).sum()) / 2
+                stack.append((child, sub, cur_p))
         return contrib
 
 

@@ -7,10 +7,19 @@ sifting uses linear-interpolated extrema envelopes instead. On the short
 (w<=100) windows FiCSUM operates on, this isolates the same fast
 oscillation modes the entropy feature consumes (see DESIGN.md
 substitution #4).
+
+The scalar functions (:func:`imfs`, :func:`imf_entropies`) decompose one
+sequence and are the reference. :func:`imf_entropies_matrix` decomposes
+every column of a window matrix at once — extrema masks over the whole
+array, one ``np.interp`` for all envelopes, row-wise stopping sums and
+histograms — and returns the same floats bit for bit
+(``tests/test_kernels_exact.py``).
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.binning import histogram_bins
 
 _MAX_SIFT = 3
 
@@ -87,3 +96,112 @@ def imf_entropies(x: np.ndarray, n_imfs: int = 2, bins: int = 10) -> list[float]
 def imf_entropy(x: np.ndarray, k: int, bins: int = 10) -> float:
     """Entropy of the k-th IMF (1-based); 0.0 when it does not exist."""
     return imf_entropies(x, n_imfs=k, bins=bins)[k - 1]
+
+
+# ------------------------------------------------------------------ batched
+# The functions below run the decomposition above on every row of a
+# (k, n) array at once. Each row goes through exactly the arithmetic the
+# scalar functions apply to it, so results are bit-identical; the scalar
+# functions stay the reference.
+
+
+def _extrema_masks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`_extrema` as (maxima, minima) boolean masks."""
+    d = np.sign(np.diff(H, axis=1))
+    turn = d[:, :-1] * d[:, 1:] < 0
+    pad = np.zeros((len(H), 1), dtype=bool)
+    maxima = np.hstack((pad, turn & (d[:, :-1] > 0), pad))
+    minima = np.hstack((pad, turn & (d[:, :-1] < 0), pad))
+    return maxima, minima
+
+
+def _envelope_rows(H: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_envelope` through the ``mask`` points of each row
+    (at least one per row), with one ``np.interp`` call.
+
+    Row r's knots and query points are shifted by ``r * n``. The shift is
+    an integer, so every slope and offset ``np.interp`` forms is the one
+    it forms for the row alone, and no query falls between two rows."""
+    r, n = H.shape
+    rows, cols = np.nonzero(mask)
+    count = np.bincount(rows, minlength=r)
+    first = np.cumsum(count) - count
+    last = first + count - 1
+    xp = np.empty(rows.size + 2 * r)
+    fp = np.empty_like(xp)
+    at = np.arange(rows.size) + 2 * rows + 1
+    xp[at] = rows * n + cols
+    fp[at] = H[rows, cols]
+    base = np.arange(r)
+    head, tail = first + 2 * base, last + 2 * base + 2
+    xp[head], fp[head] = base * n, fp[at[first]]
+    xp[tail], fp[tail] = base * n + n - 1, fp[at[last]]
+    return np.interp(np.arange(r * n, dtype=float), xp, fp).reshape(r, n)
+
+
+def _sift_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`_sift`: (IMFs, found), where ``found`` is False for
+    the rows on which :func:`_sift` returns None."""
+    out = np.empty_like(X)
+    found = np.ones(len(X), dtype=bool)
+    act = np.arange(len(X))  # rows still sifting
+    h = X.copy()
+    for _ in range(_MAX_SIFT):
+        maxima, minima = _extrema_masks(h)
+        flat = (maxima.sum(axis=1) < 2) | (minima.sum(axis=1) < 2)
+        if flat.any():
+            done = act[flat]
+            out[done] = h[flat]
+            found[done] = ~np.isclose(h[flat], X[done]).all(axis=1)
+            keep = ~flat
+            act, h, maxima, minima = act[keep], h[keep], maxima[keep], minima[keep]
+        if not act.size:
+            return out, found
+        env = _envelope_rows(np.vstack((h, h)), np.vstack((maxima, minima)))
+        nh = h - 0.5 * (env[: len(h)] + env[len(h):])
+        converged = ((h - nh) ** 2).sum(axis=1) <= 1e-10 * ((h**2).sum(axis=1) + 1e-12)
+        out[act[converged]] = h[converged]
+        act, h = act[~converged], nh[~converged]
+    out[act] = h
+    return out, found
+
+
+def _mode_entropy_rows(H: np.ndarray, bins: int) -> np.ndarray:
+    """Row-wise :func:`_mode_entropy`."""
+    out = np.zeros(len(H))
+    live = np.flatnonzero(np.ptp(H, axis=1) > 1e-12)
+    if not live.size:
+        return out
+    idx = histogram_bins(H[live], bins)
+    cell = np.arange(live.size)[:, None] * bins + idx
+    hist = np.bincount(cell.ravel(), minlength=live.size * bins).reshape(-1, bins)
+    p = hist / H.shape[1]
+    mask = p > 0
+    terms = p * np.log(np.where(mask, p, 1.0))
+    for i, r in enumerate(live):
+        out[r] = -terms[i][mask[i]].sum()
+    return out
+
+
+def imf_entropies_matrix(M: np.ndarray, n_imfs: int = 2, bins: int = 10) -> np.ndarray:
+    """:func:`imf_entropies` of every column of the (w, k) window ``M``:
+    a (k, n_imfs) array, bit-identical to calling it per column.
+
+    The columns become the rows of one C-contiguous (k, w) array and are
+    sifted together; a row leaves the decomposition when its residue
+    stops oscillating."""
+    R = np.array(np.asarray(M, dtype=float).T, order="C")
+    if not np.isfinite(R).all():  # np.histogram raises on these in the scalar path
+        raise ValueError("IMF entropy of a non-finite sequence")
+    k, w = R.shape
+    out = np.zeros((k, n_imfs))
+    rows = np.arange(k)  # rows whose decomposition goes on
+    for j in range(n_imfs):
+        if not rows.size or w < 3:
+            break
+        X = R[rows]
+        imf, found = _sift_rows(X)
+        rows, imf = rows[found], imf[found]
+        out[rows, j] = _mode_entropy_rows(imf, bins)
+        R[rows] = X[found] - imf
+    return out

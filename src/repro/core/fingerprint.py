@@ -111,7 +111,7 @@ def compute_fingerprint(
 ) -> np.ndarray:
     """Raw (unnormalized) fingerprint of window (X, y, l) under ``schema``.
 
-    ``tree`` must provide ``feature_contributions(x)`` when the schema's
+    ``tree`` must provide ``feature_contributions_batch(X)`` when the schema's
     shapley feature is enabled; pass None to emit zeros there (e.g. the
     classifier-free streaming path).
     """
@@ -143,7 +143,7 @@ def compute_fingerprint(
         if tree is None:
             shap = np.zeros(schema.n_features)
         else:
-            shap = np.mean([tree.feature_contributions(x) for x in X], axis=0)
+            shap = np.mean(tree.feature_contributions_batch(X), axis=0)
         vec = np.concatenate([vec, shap])
     return vec
 

@@ -16,7 +16,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.emd import imf_entropy
+from repro.core.binning import histogramdd_bins
+from repro.core.emd import imf_entropies, imf_entropies_matrix, imf_entropy
 
 _EPS = 1e-12
 
@@ -106,6 +107,42 @@ def f_mutual_info(x: np.ndarray, bins: int = 6) -> float:
     return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px @ py)[mask])))
 
 
+def mutual_info_matrix(M: np.ndarray, bins: int = 6) -> np.ndarray:
+    """:func:`f_mutual_info` of every column of the (w, k) window ``M``,
+    bit-identical to calling it per column.
+
+    All columns' joint histograms come from one ``np.bincount`` over
+    (column, bin of x[t], bin of x[t+1]); probabilities and log terms are
+    computed for the whole (k, bins, bins) block. Only the final masked
+    sum runs per column, so it keeps numpy's summation order.
+    """
+    M = np.asarray(M, dtype=float)
+    w, k = M.shape
+    out = np.zeros(k)
+    if w < 3:
+        return out
+    # ``not ptp < eps`` keeps NaN columns, which raise as in the scalar path
+    live = np.flatnonzero(~(M.max(axis=0) - M.min(axis=0) < _EPS))
+    if not live.size:
+        return out
+    T = np.ascontiguousarray(M[:, live].T)
+    if not np.isfinite(T).all():
+        raise ValueError("mutual information of a non-finite sequence")
+    ia = histogramdd_bins(T[:, :-1], bins)
+    ib = histogramdd_bins(T[:, 1:], bins)
+    cell = (np.arange(live.size)[:, None] * bins + ia) * bins + ib
+    joint = np.bincount(cell.ravel(), minlength=live.size * bins * bins)
+    pxy = joint.reshape(live.size, bins, bins) / float(w - 1)
+    px = pxy.sum(axis=2, keepdims=True)
+    py = pxy.sum(axis=1, keepdims=True)
+    mask = pxy > 0
+    ratio = np.divide(pxy, px * py, out=np.ones_like(pxy), where=mask)
+    terms = pxy * np.log(ratio)
+    for c in range(live.size):
+        out[live[c]] = np.sum(terms[c][mask[c]])
+    return out
+
+
 def f_turning_point_rate(x: np.ndarray) -> float:
     """Fraction of interior points that are local extrema."""
     if len(x) < 3:
@@ -161,7 +198,13 @@ def compute_sequence_features(
     """Apply the named sequence functions (default: all 12) to ``x``."""
     names = list(functions) if functions is not None else list(SEQUENCE_FUNCTIONS)
     x = np.asarray(x, dtype=float)
-    return np.array([SEQUENCE_FUNCTIONS[n](x) for n in names])
+    imf = {}
+    if "imf1_entropy" in names and "imf2_entropy" in names:
+        # one decomposition for both, as imf_entropy(x, 1) and (x, 2) would
+        # sift the first mode twice
+        e = imf_entropies(x, 2) if len(x) >= 8 else [0.0, 0.0]
+        imf = {"imf1_entropy": e[0], "imf2_entropy": e[1]}
+    return np.array([imf[n] if n in imf else SEQUENCE_FUNCTIONS[n](x) for n in names])
 
 
 def compute_feature_matrix(
@@ -172,8 +215,11 @@ def compute_feature_matrix(
     order as :func:`compute_sequence_features` (tested equivalent).
 
     Moments, ACF, PACF (closed-form Durbin–Levinson for lags 1–2) and
-    turning-point rate are fully columnwise; mutual information and IMF
-    entropies loop per column but share one EMD per column.
+    turning-point rate are fully columnwise. Mutual information and the
+    IMF entropies run batched kernels over all columns at once
+    (:func:`mutual_info_matrix`, ``emd.imf_entropies_matrix``), which are
+    bit-identical to :func:`f_mutual_info` and ``emd.imf_entropies`` per
+    column; both IMF entropies share one decomposition.
     """
     names = list(functions) if functions is not None else list(SEQUENCE_FUNCTIONS)
     M = np.asarray(M, dtype=float)
@@ -194,7 +240,7 @@ def compute_feature_matrix(
         return np.where(ok, (Mc[:-lag] * Mc[lag:]).sum(axis=0) / sdenom, 0.0)
 
     r1, r2 = acf(1), acf(2)
-    col_cache: dict[str, np.ndarray] = {}
+    imf = None  # both IMF entropies come from one decomposition
     for j, name in enumerate(names):
         if name == "mean":
             out[:, j] = mean
@@ -222,18 +268,11 @@ def compute_feature_matrix(
                 d2 = np.sign(np.diff(M[1:], axis=0))
                 out[:, j] = ((d1 * d2) < 0).mean(axis=0)
         elif name == "mutual_info":
-            out[:, j] = [f_mutual_info(M[:, c]) for c in range(k)]
+            out[:, j] = mutual_info_matrix(M)
         elif name in ("imf1_entropy", "imf2_entropy"):
-            if "imf" not in col_cache:
-                from repro.core.emd import imf_entropies
-
-                ents = (
-                    np.array([imf_entropies(M[:, c]) for c in range(k)])
-                    if w >= 8
-                    else np.zeros((k, 2))
-                )
-                col_cache["imf"] = ents
-            out[:, j] = col_cache["imf"][:, 0 if name == "imf1_entropy" else 1]
+            if imf is None:
+                imf = imf_entropies_matrix(M) if w >= 8 else np.zeros((k, 2))
+            out[:, j] = imf[:, 0 if name == "imf1_entropy" else 1]
         else:
             raise ValueError(f"unknown function {name!r}")
     return out

@@ -24,9 +24,8 @@ from repro.baselines.rcd import RCD
 from repro.classifiers.ensembles import ARF, DWM
 from repro.core.ficsum import FiCSUM, FicsumConfig
 from repro.core.meta_features import FUNCTION_GROUPS
-from repro.core.similarity import similarity
-from repro.metrics import best_tracking_model, c_f1, kappa, separation_zscore
-from repro.streams.datasets import StreamDataset, build_dataset
+from repro.metrics import c_f1, kappa
+from repro.streams.datasets import build_dataset
 
 _SOURCE_MODES = {"FiCSUM": "all", "S-MI": "supervised", "U-MI": "unsupervised",
                  "ER": "error_rate"}
@@ -53,52 +52,6 @@ def make_method(name: str, n_features: int, n_classes: int, seed: int,
     if name == "ARF":
         return ARF(n_features, n_classes, seed=seed)
     raise ValueError(f"unknown method {name!r}")
-
-
-def _segments(concept_ids: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, concept) for each contiguous ground-truth segment."""
-    out = []
-    start = 0
-    for i in range(1, len(concept_ids) + 1):
-        if i == len(concept_ids) or concept_ids[i] != concept_ids[start]:
-            out.append((start, i, int(concept_ids[start])))
-            start = i
-    return out
-
-
-def discrimination_ability(model: FiCSUM, ds: StreamDataset,
-                           model_ids: np.ndarray, max_probes: int = 24) -> float:
-    """Mean z-score separation of the correct stored fingerprint on probe
-    windows drawn from segment midpoints (DESIGN.md substitution #8)."""
-    records = [r for r in model.repo
-               if r.mature and r.fingerprint.n_incorporated >= 2]
-    if len(records) < 2:
-        return 0.0
-    mapping = best_tracking_model(ds.concept_ids, model_ids)
-    by_id = {r.id: r for r in records}
-    w = model.cfg.window_size
-    segs = [s for s in _segments(ds.concept_ids) if s[1] - s[0] >= 2 * w]
-    if len(segs) > max_probes:
-        idx = np.linspace(0, len(segs) - 1, max_probes).astype(int)
-        segs = [segs[i] for i in idx]
-    zs = []
-    for start, end, concept in segs:
-        assigned = by_id.get(mapping.get(concept, -1))
-        if assigned is None:
-            continue
-        mid = (start + end) // 2
-        Xw = ds.X[mid: mid + w]
-        yw = ds.y[mid: mid + w]
-        items = [(Xw[j], int(yw[j]), 0) for j in range(len(Xw))]
-        sims = {}
-        for rec in records:
-            F = model._relabel_fingerprint(items, rec)
-            sims[rec.id] = similarity(
-                rec.fingerprint.mu, F, model._weights(rec.fingerprint)
-            )
-        others = [s for rid, s in sims.items() if rid != assigned.id]
-        zs.append(separation_zscore(sims[assigned.id], others))
-    return float(np.mean(zs)) if zs else 0.0
 
 
 def run_stream(dataset: str, method: str, seed: int, *,

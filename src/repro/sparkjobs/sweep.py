@@ -9,6 +9,7 @@ rows come back as a DataFrame for Spark SQL aggregation.
 from __future__ import annotations
 
 import json
+import traceback
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -19,6 +20,21 @@ RESULT_SCHEMA = (
     "kappa double, accuracy double, c_f1 double, discrimination double, "
     "runtime_s double, n_models long, n_drifts long, error string"
 )
+#: a failed run's ``error``: at most this many characters, holding the
+#: exception line and its innermost traceback frames
+ERROR_CHARS = 1000
+ERROR_FRAMES = 4
+
+
+def _error_text(exc: BaseException) -> str:
+    """``Type: message``, then the innermost ``ERROR_FRAMES`` traceback
+    frames, cut from the outside in to fit ``ERROR_CHARS``."""
+    head = f"{type(exc).__name__}: {exc}"[:ERROR_CHARS]
+    frames = "".join(traceback.format_tb(exc.__traceback__)[-ERROR_FRAMES:])
+    room = ERROR_CHARS - len(head) - 1
+    if room <= 0 or not frames:
+        return head
+    return head + "\n" + frames[-room:]
 
 
 def _run_one(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -45,7 +61,7 @@ def _run_one(pdf: pd.DataFrame) -> pd.DataFrame:
                   "n_models", "n_drifts"):
             out[k] = res[k]
     except Exception as e:  # surface the failure in the result table
-        out["error"] = f"{type(e).__name__}: {e}"
+        out["error"] = _error_text(e)
     return pd.DataFrame([out])
 
 

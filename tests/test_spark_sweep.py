@@ -1,8 +1,9 @@
 """Tests for the distributed experiment sweep (applyInPandas fan-out)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.sparkjobs.sweep import aggregate, run_sweep
+from repro.sparkjobs.sweep import ERROR_CHARS, _run_one, aggregate, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,18 @@ def test_sweep_captures_failures_as_rows(spark):
         spark, [{"dataset": "NOPE", "method": "ER", "seed": 0}]
     ).collect()[0]
     assert res.error is not None and "KeyError" in res.error
+
+
+def test_run_one_error_keeps_traceback_tail():
+    """The executor-side function, called directly: a failed run's error
+    holds the exception line and the frame that raised, within the cap."""
+    pdf = pd.DataFrame([{"run_id": 3, "dataset": "NOPE", "method": "ER", "seed": 0,
+                         "length_scale": 0.2, "overrides": ""}])
+    row = _run_one(pdf).iloc[0]
+    assert row.run_id == 3 and row.kappa == 0.0
+    assert row.error.startswith("KeyError: 'NOPE'")
+    assert 'datasets.py", line' in row.error and "build_dataset" in row.error
+    assert len(row.error) <= ERROR_CHARS
 
 
 def test_aggregate_means_and_stds(spark, tiny_results):
