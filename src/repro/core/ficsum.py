@@ -1,17 +1,18 @@
 """FiCSUM main loop (Algorithm 1).
 
 Per observation: predict with the active concept's classifier, train it,
-maintain the active window ``A`` (most recent ``w`` observations) and
-the buffer window ``B`` (observations aged between ``b`` and ``b+w``,
-assumed to predate any undetected drift). Every ``P_C`` observations
-fingerprints ``F_A``/``F_B`` are computed; ``F_B`` trains the concept
-fingerprint and its similarity distribution (μ_c, σ_c); the similarity
-of ``F_A`` feeds ADWIN for drift detection. On drift, model selection
-tests every stored concept (relabelling ``A`` with its classifier) and
-accepts recurrences whose similarity is within μ_s ± 2σ_s, falling back
-to a fresh concept; a second-chance selection runs ``w`` observations
-later (Section III-A). Classifier-dependent fingerprint dimensions are
-reset when the Hoeffding tree grows a branch (Section IV plasticity).
+and hand the observation to the detection core
+(:class:`repro.core.monitor.DriftMonitor`), which keeps the buffer and
+active windows, the concept fingerprint and its similarity record
+(μ_c, σ_c), and ADWIN over the similarity. FiCSUM adds the classifier and
+the concept repository: fingerprints use the active concept's tree for
+the Shapley dimensions, and the repository feeds the dynamic weights. On
+drift, model selection tests every stored concept (relabelling ``A`` with
+its classifier) and accepts recurrences whose similarity is within
+μ_s ± 2σ_s, falling back to a fresh concept; a second-chance selection
+runs ``w`` observations later (Section III-A). Classifier-dependent
+fingerprint dimensions are reset when the Hoeffding tree grows a branch
+(Section IV plasticity).
 
 The paper's similarity-record re-calibration transform (Section IV) is
 not implemented; our μ_c/σ_c are recent-weighted enough at the scales we
@@ -19,21 +20,15 @@ run (documented simplification).
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.classifiers.hoeffding_tree import HoeffdingTree
-from repro.core.fingerprint import (
-    ConceptFingerprint,
-    FingerprintSchema,
-    Normalizer,
-    compute_fingerprint,
-)
+from repro.core.fingerprint import FingerprintSchema, compute_fingerprint
+from repro.core.monitor import FICSUM_BREACH_RULE, DriftMonitor
 from repro.core.repository import ConceptRecord, Repository
-from repro.core.similarity import dynamic_weights, similarity
-from repro.detectors.adwin import ADWIN
+from repro.core.similarity import similarity
 
 
 @dataclass
@@ -71,28 +66,37 @@ class FiCSUM:
 
     def __init__(self, n_features: int, n_classes: int,
                  config: FicsumConfig | None = None, seed: int = 0):
-        self.cfg = config or FicsumConfig()
+        cfg = self.cfg = config or FicsumConfig()
         self.n_features = n_features
         self.n_classes = n_classes
         self.seed = seed
         kwargs = {"n_features": n_features}
-        if self.cfg.functions is not None:
-            kwargs["functions"] = tuple(self.cfg.functions)
-        self.schema = FingerprintSchema(source_mode=self.cfg.source_mode, **kwargs)
-        self.normalizer = Normalizer(self.schema.dim)
+        if cfg.functions is not None:
+            kwargs["functions"] = tuple(cfg.functions)
+        self.schema = FingerprintSchema(source_mode=cfg.source_mode, **kwargs)
+        self.monitor = DriftMonitor.with_schema(
+            self.schema,
+            window_size=cfg.window_size,
+            buffer_len=cfg.buffer_len,
+            period=cfg.fingerprint_period,
+            incorporate_every=cfg.incorporate_every,
+            adwin_delta=cfg.adwin_delta,
+            min_sim_history=cfg.min_sim_history,
+            **FICSUM_BREACH_RULE,
+        )
         self.repo = Repository(self.schema.dim)
-        self.detector = ADWIN(delta=self.cfg.adwin_delta)
-        self.i = 0
-        self._deque: deque = deque(maxlen=self.cfg.window_size + self.cfg.buffer_len)
-        self.active: ConceptRecord = self.repo.create(self._new_classifier(), 0)
-        self._last_growth = 0
         self._recheck_at = -1
         self._new_since_drift: ConceptRecord | None = None
-        self._breaches = 0
-        self._cooldown_until = 0
-        self.n_drifts = 0
+        self._activate(self.repo.create(self._new_classifier(), 0))
 
-    # ----------------------------------------------------------------- setup
+    @property
+    def active(self) -> ConceptRecord:
+        return self.monitor.active
+
+    @property
+    def n_drifts(self) -> int:
+        return self.monitor.n_drifts
+
     def _new_classifier(self) -> HoeffdingTree:
         return HoeffdingTree(
             self.n_features,
@@ -102,133 +106,51 @@ class FiCSUM:
             seed=self.seed,
         )
 
-    # ------------------------------------------------------------ fingerprints
-    def _window_arrays(self, items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.stack([it[0] for it in items])
-        y = np.array([it[1] for it in items])
-        l = np.array([it[2] for it in items])
-        return X, y, l
-
-    def _fingerprint(self, items, tree, *, update_norm: bool) -> np.ndarray:
-        X, y, l = self._window_arrays(items)
-        raw = compute_fingerprint(X, y, l, self.schema, tree)
-        if update_norm:
-            self.normalizer.update(raw)
-        return self.normalizer.normalize(raw)
-
-    def _relabel_fingerprint(self, items, rec: ConceptRecord) -> np.ndarray:
-        """F_AS: fingerprint of the window relabelled by ``rec``'s classifier."""
-        X = np.stack([it[0] for it in items])
-        y = np.array([it[1] for it in items])
-        l = np.array([rec.classifier.predict(x) for x in X])
-        raw = compute_fingerprint(X, y, l, self.schema, rec.classifier)
-        return self.normalizer.normalize(raw)
-
-    def _weights(self, ref: ConceptFingerprint) -> np.ndarray:
-        stacks = self.repo.stat_stacks()
-        if ref.n_incorporated >= 2:
-            # dims without a trained distribution (count<2, e.g. just
-            # plasticity-reset) get neutral scale, not the 1/σ maximum
-            ref_sigma = np.where(ref.count >= 2, ref.sigma, 1.0)
-        else:
-            ref_sigma = np.ones(self.schema.dim)
-        if stacks is None:
-            w = dynamic_weights(ref_sigma, None, None)
-        else:
-            mus, sigmas, sc = stacks
-            w = dynamic_weights(ref_sigma, mus, sigmas, sc)
-        # dims whose value never varied globally carry no signal at all
-        degenerate = (self.normalizer.hi - self.normalizer.lo) < 1e-9
-        return np.where(degenerate, 0.0, w)
-
     # ------------------------------------------------------------------ step
     def process(self, x: np.ndarray, y: int) -> StepResult:
-        """Prequential step: predict, train, maintain windows, detect drift."""
-        cfg = self.cfg
-        pred = self.active.classifier.predict(x)
-        self.active.classifier.partial_fit(x, y)
-        self._deque.append((x, y, pred))
-        self.i += 1
-        res = StepResult(prediction=pred, model_id=self.active.id)
+        """Prequential step: predict, train, detect drift, select a model."""
+        mon, rec = self.monitor, self.active
+        x = mon.check(x)
+        pred = rec.classifier.predict(x)
+        rec.classifier.partial_fit(x, y)
+        res = StepResult(prediction=pred, model_id=rec.id)
 
-        growth = self.active.classifier.growth_events
+        growth = rec.classifier.growth_events
         if growth > self._last_growth:
             # Section IV: forget classifier-dependent fingerprint dims
-            self.active.fingerprint.reset_dims(self.schema.classifier_dim_mask())
+            rec.fingerprint.reset_dims(self.schema.classifier_dim_mask())
             self._last_growth = growth
 
-        w = cfg.window_size
-        if len(self._deque) >= w and self.i % cfg.fingerprint_period == 0:
-            self._periodic_update(res)
-        if self._recheck_at == self.i:
+        _, res.drift = mon.step(x, y, pred, self.repo)
+        if res.drift:
+            self._model_selection()
+        if self._recheck_at == mon.i:
             self._second_selection()
         if (
-            self.i % cfg.repo_period == 0
-            and len(self._deque) >= w
+            mon.i % self.cfg.repo_period == 0
+            and mon.i >= self.cfg.window_size
             and len(self.repo) > 1
         ):
             self._update_sc_stats()
         return res
 
-    def _periodic_update(self, res: StepResult) -> None:
-        cfg = self.cfg
-        items = list(self._deque)
-        A = items[-cfg.window_size:]
-        F_c = self.active.fingerprint
-        self._periodic_tick = getattr(self, "_periodic_tick", 0) + 1
-        incorporate = (
-            self._periodic_tick % cfg.incorporate_every == 0
-            or F_c.n_incorporated < 2
-        )
-        if incorporate and len(items) == cfg.window_size + cfg.buffer_len:
-            B = items[: cfg.window_size]
-            F_B = self._fingerprint(B, self.active.classifier, update_norm=True)
-            W = self._weights(F_c)
-            if F_c.n_incorporated >= 2:
-                sim_b = similarity(F_c.mu, F_B, W)
-                # incorporation gate: a buffer window that looks nothing
-                # like the concept is likely post-drift spillover — do not
-                # let it drag the concept fingerprint toward the new
-                # concept before the detector can fire
-                suspect = (
-                    self.active.sim.n >= 5
-                    and sim_b < self.active.sim.mean - 3.0 * max(self.active.sim.std, 0.02)
-                )
-                if not suspect:
-                    self.active.sim.update(sim_b)
-                    F_c.incorporate(F_B)
-                    self.active.calib_vec = F_B
-            else:
-                F_c.incorporate(F_B)
-                self.active.calib_vec = F_B
-        if F_c.n_incorporated >= 2 and self.i >= self._cooldown_until:
-            F_A = self._fingerprint(A, self.active.classifier, update_norm=True)
-            W = self._weights(F_c)
-            sim_a = similarity(F_c.mu, F_A, W)
-            # ADWIN (paper) plus a μ_c − 3σ_c consecutive-breach rule: at
-            # our scaled segment lengths ADWIN's Hoeffding term needs more
-            # samples per segment than exist (documented deviation)
-            breach = (
-                self.active.sim.n >= 5
-                and sim_a < self.active.sim.mean - 3.0 * max(self.active.sim.std, 0.02)
-            )
-            self._breaches = self._breaches + 1 if breach else 0
-            adwin_drift = self.detector.add(sim_a)
-            warmed = self.active.sim.n >= self.cfg.min_sim_history
-            if warmed and (adwin_drift or self._breaches >= 3):
-                self._breaches = 0
-                self.n_drifts += 1
-                res.drift = True
-                self._model_selection(A)
+    def _relabel_fingerprint(self, rec: ConceptRecord) -> np.ndarray:
+        """F_AS: fingerprint of window ``A`` relabelled by ``rec``'s classifier."""
+        w = self.cfg.window_size
+        X, y, _ = self.monitor.window()
+        X, y = X[-w:], y[-w:]
+        l = np.array([rec.classifier.predict(x) for x in X])
+        raw = compute_fingerprint(X, y, l, self.schema, rec.classifier)
+        return self.monitor.normalizer.normalize(raw)
 
     # -------------------------------------------------------- model selection
-    def _candidates(self, A, exclude=None) -> list[tuple[float, ConceptRecord]]:
+    def _candidates(self, exclude: ConceptRecord) -> list[tuple[float, ConceptRecord]]:
         out = []
         for rec in self.repo:
             if rec is exclude or not rec.mature or rec.fingerprint.n_incorporated < 2:
                 continue
-            F_AS = self._relabel_fingerprint(A, rec)
-            W = self._weights(rec.fingerprint)
+            F_AS = self._relabel_fingerprint(rec)
+            W = self.monitor.weights(rec.fingerprint, self.repo)
             sim = similarity(rec.fingerprint.mu, F_AS, W)
             # normal-operation reference: stored μ_s, re-calibrated under
             # the current weighting via the retained fingerprint pair
@@ -244,24 +166,23 @@ class FiCSUM:
                 out.append((sim - ref, rec))
         return sorted(out, key=lambda t: -t[0])
 
-    def _model_selection(self, A) -> None:
-        accepted = self._candidates(A, exclude=self.active)
+    def _model_selection(self) -> None:
+        # excludes the pre-drift concept: it is still the active one here
+        accepted = self._candidates(exclude=self.active)
         if accepted:
             self._activate(accepted[0][1])
             self._new_since_drift = None
         else:
-            rec = self.repo.create(self._new_classifier(), self.i)
+            rec = self.repo.create(self._new_classifier(), self.monitor.i)
             self._activate(rec)
             self._new_since_drift = rec
-        self._recheck_at = self.i + self.cfg.window_size
+        self._recheck_at = self.monitor.i + self.cfg.window_size
 
     def _second_selection(self) -> None:
         """Re-run selection w obs after a drift (window now fully post-drift)."""
         if self._new_since_drift is None or self._new_since_drift is not self.active:
             return
-        items = list(self._deque)
-        A = items[-self.cfg.window_size:]
-        accepted = self._candidates(A, exclude=self.active)
+        accepted = self._candidates(exclude=self.active)
         if accepted:
             stale = self.active
             self._activate(accepted[0][1])
@@ -270,21 +191,14 @@ class FiCSUM:
         self._new_since_drift = None
 
     def _activate(self, rec: ConceptRecord) -> None:
-        self.active = rec
-        self.detector.reset()
-        self._breaches = 0
-        # let the windows refill with post-drift data before detecting again
-        self._cooldown_until = self.i + self.cfg.window_size
+        self.monitor.activate(rec)
         self._last_growth = rec.classifier.growth_events
 
     def _update_sc_stats(self) -> None:
         """Periodic F_SC capture for non-active concepts (P_S, Sec III-B2)."""
-        items = list(self._deque)
-        A = items[-self.cfg.window_size:]
         for rec in self.repo:
-            if rec is self.active:
-                continue
-            rec.sc_stats.incorporate(self._relabel_fingerprint(A, rec))
+            if rec is not self.active:
+                rec.sc_stats.incorporate(self._relabel_fingerprint(rec))
 
     # ------------------------------------------------------------- inspection
     def repository_summary(self) -> list[dict]:

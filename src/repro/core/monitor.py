@@ -1,33 +1,68 @@
-"""Classifier-free fingerprint drift monitor.
+"""Algorithm 1's detection core, shared by FiCSUM and the streaming operator.
 
-The detection path of Algorithm 1 factored out of FiCSUM: maintain the
-active/buffer windows, periodically fingerprint them, track the concept
-fingerprint and the similarity series, and flag drift via ADWIN plus the
-μ−3σ breach rule. No classifier and no repository — labels ``y`` and
-upstream predictions ``l`` (optional) arrive with the observations.
+Maintain the active window ``A`` (most recent ``w`` observations) and the
+buffer window ``B`` (observations aged between ``b`` and ``b+w``, assumed
+to predate any undetected drift); every ``P_C`` observations fingerprint
+them. ``F_B`` trains the active concept's fingerprint and its similarity
+record (μ_c, σ_c) unless the incorporation gate rejects it; the
+similarity of ``F_A`` feeds ADWIN and the μ_c − kσ_c breach rule, which
+flag drift.
 
-This is the state object carried by the Structured Streaming stateful
-operator (``repro.sparkjobs.streaming``); it is picklable and processes
-observations strictly in sequence order.
+Stand-alone, the monitor is classifier-free: labels ``y`` and upstream
+predictions ``l`` (optional) arrive with the observations, and a drift
+starts a fresh concept. It is the state object carried by the Structured
+Streaming stateful operator (``repro.sparkjobs.streaming``); it is
+picklable and processes observations strictly in sequence order.
+:class:`repro.core.ficsum.FiCSUM` owns one over its own fingerprint
+schema and does the model selection on drift.
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.core.fingerprint import FingerprintSchema, Normalizer, compute_fingerprint
-from repro.core.repository import _Welford
+from repro.core.fingerprint import (
+    ConceptFingerprint,
+    FingerprintSchema,
+    Normalizer,
+    compute_fingerprint,
+)
+from repro.core.meta_features import SEQUENCE_FUNCTIONS
+from repro.core.repository import ConceptRecord, Repository
 from repro.core.similarity import dynamic_weights, similarity
 from repro.detectors.adwin import ADWIN
 
+# The breach rule (sim < μ_c − k·max(σ_c, floor), n times in a row) runs
+# with two value sets: the stand-alone defaults of DriftMonitor (3.5, 0.03,
+# 4) and FiCSUM's below. They are kept apart only so outputs stay
+# identical; unifying them is a behaviour change for a later change that
+# re-runs the tables.
+FICSUM_BREACH_RULE = {"breach_sigmas": 3.0, "breach_floor": 0.02, "breach_count": 3}
+
 
 class DriftMonitor:
-    """Sequential drift detection over (X, y, l) observations."""
+    """Sequential drift detection over (x, y, l) observations."""
 
-    def __init__(
+    def __init__(self, n_features: int, *, supervised: bool = True, **settings):
+        """Classifier-free monitor over the sequence functions of the
+        feature sources (plus labels, predictions and errors when
+        ``supervised``); ``settings`` are the keywords of :meth:`_setup`."""
+        schema = FingerprintSchema(
+            n_features=n_features,
+            source_mode="all" if supervised else "unsupervised",
+            functions=tuple(SEQUENCE_FUNCTIONS),  # no shapley: no tree here
+        )
+        self._setup(schema, **settings)
+
+    @classmethod
+    def with_schema(cls, schema: FingerprintSchema, **settings) -> DriftMonitor:
+        """A monitor fingerprinting windows under ``schema`` (FiCSUM's)."""
+        mon = cls.__new__(cls)
+        mon._setup(schema, **settings)
+        return mon
+
+    def _setup(
         self,
-        n_features: int,
+        schema: FingerprintSchema,
         *,
         window_size: int = 50,
         buffer_len: int = 12,
@@ -35,95 +70,141 @@ class DriftMonitor:
         incorporate_every: int = 3,
         adwin_delta: float = 0.02,
         min_sim_history: int = 8,
-        supervised: bool = True,
-    ):
-        from repro.core.fingerprint import ConceptFingerprint
-        from repro.core.meta_features import SEQUENCE_FUNCTIONS
-
+        breach_sigmas: float = 3.5,
+        breach_floor: float = 0.03,
+        breach_count: int = 4,
+    ) -> None:
+        """Windows of ``window_size`` observations, the buffer window
+        ``buffer_len`` older; a periodic step every ``period`` observations,
+        incorporating ``F_B`` on every ``incorporate_every``-th; drift only
+        after ``min_sim_history`` similarity records."""
+        self.schema = schema
         self.window_size = window_size
         self.buffer_len = buffer_len
         self.period = period
         self.incorporate_every = incorporate_every
         self.min_sim_history = min_sim_history
-        self.schema = FingerprintSchema(
-            n_features=n_features,
-            source_mode="all" if supervised else "unsupervised",
-            functions=tuple(SEQUENCE_FUNCTIONS),  # no shapley: no tree here
-        )
-        self.normalizer = Normalizer(self.schema.dim)
-        self.concept = ConceptFingerprint(self.schema.dim)
-        self.sim = _Welford()
+        self.breach_sigmas = breach_sigmas
+        self.breach_floor = breach_floor
+        self.breach_count = breach_count
+        self.normalizer = Normalizer(schema.dim)
         self.detector = ADWIN(delta=adwin_delta)
-        self._deque: deque = deque(maxlen=window_size + buffer_len)
+        # ring buffer of the last w+b observations; row i % (w+b) is the
+        # oldest once full, and the next to be overwritten
+        n = window_size + buffer_len
+        self.X = np.zeros((n, schema.n_features))
+        self.y = np.zeros(n, dtype=np.int64)
+        self.l = np.zeros(n, dtype=np.int64)
         self.i = 0
         self._tick = 0
         self._breaches = 0
         self._cooldown_until = 0
         self.n_drifts = 0
+        self.active = ConceptRecord(0, schema.dim, None, 0)
 
-    def _fingerprint(self, items) -> np.ndarray:
-        X = np.stack([it[0] for it in items])
-        y = np.array([it[1] for it in items])
-        l = np.array([it[2] for it in items])
-        raw = compute_fingerprint(X, y, l, self.schema, None)
-        self.normalizer.update(raw)
-        return self.normalizer.normalize(raw)
+    # ----------------------------------------------------------- observation
+    def check(self, x) -> np.ndarray:
+        """``x`` as a float row; ValueError unless it holds exactly
+        ``n_features`` finite values (a NaN would poison the normalizer's
+        min/max for good)."""
+        row = np.asarray(x, dtype=float)
+        n = self.schema.n_features
+        if row.shape != (n,) or not np.isfinite(row).all():
+            raise ValueError(f"expected {n} finite feature values, got {x!r}")
+        return row
 
-    def _weights(self) -> np.ndarray:
-        sigma = np.where(self.concept.count >= 2, self.concept.sigma, 1.0)
-        w = dynamic_weights(sigma, None, None)
-        degenerate = (self.normalizer.hi - self.normalizer.lo) < 1e-9
-        return np.where(degenerate, 0.0, w)
-
-    def add(self, x: np.ndarray, y: int, l: int | None = None) -> tuple[float, bool]:
-        """Process one observation; returns (similarity, drift_flag).
+    def add(self, x, y: int, l: int | None = None) -> tuple[float, bool]:
+        """Process one observation; returns (similarity, drift_flag) and
+        starts a fresh concept on drift.
 
         Similarity is NaN until the concept fingerprint is trained.
         """
-        self._deque.append((np.asarray(x, dtype=float), int(y), int(l if l is not None else y)))
+        sim, drift = self.step(self.check(x), int(y), int(l if l is not None else y))
+        if drift:
+            self.activate(ConceptRecord(self.n_drifts, self.schema.dim, None, self.i))
+        return sim, drift
+
+    def step(self, x: np.ndarray, y: int, l: int,
+             repo: Repository | None = None) -> tuple[float, bool]:
+        """Append a checked observation and run the periodic detection
+        step; returns (similarity, drift) without switching concepts.
+
+        ``repo`` adds the inter-concept terms to the dynamic weights.
+        """
+        j = self.i % len(self.y)
+        self.X[j], self.y[j], self.l[j] = x, y, l
         self.i += 1
-        if len(self._deque) < self.window_size or self.i % self.period:
+        w = self.window_size
+        if self.i < w or self.i % self.period:
             return float("nan"), False
         self._tick += 1
-        items = list(self._deque)
-        if len(items) == self.window_size + self.buffer_len and (
-            self._tick % self.incorporate_every == 0 or self.concept.n_incorporated < 2
+        X, Y, L = self.window()
+        rec = self.active
+        F_c = rec.fingerprint
+        if self.i >= w + self.buffer_len and (
+            self._tick % self.incorporate_every == 0 or F_c.n_incorporated < 2
         ):
-            F_B = self._fingerprint(items[: self.window_size])
-            if self.concept.n_incorporated >= 2:
-                sim_b = similarity(self.concept.mu, F_B, self._weights())
-                suspect = (
-                    self.sim.n >= 5
-                    and sim_b < self.sim.mean - 3.5 * max(self.sim.std, 0.03)
-                )
-                if not suspect:
-                    self.sim.update(sim_b)
-                    self.concept.incorporate(F_B)
+            F_B = self._fingerprint(X[:w], Y[:w], L[:w])
+            if F_c.n_incorporated >= 2:
+                sim_b = similarity(F_c.mu, F_B, self.weights(F_c, repo))
+                # incorporation gate: a buffer window that looks nothing
+                # like the concept is likely post-drift spillover; do not
+                # let it drag the concept fingerprint toward the new
+                # concept before the detector can fire
+                if not self._breached(sim_b):
+                    rec.sim.update(sim_b)
+                    F_c.incorporate(F_B)
+                    rec.calib_vec = F_B
             else:
-                self.concept.incorporate(F_B)
-        if self.concept.n_incorporated < 2 or self.i < self._cooldown_until:
+                F_c.incorporate(F_B)
+                rec.calib_vec = F_B
+        if F_c.n_incorporated < 2 or self.i < self._cooldown_until:
             return float("nan"), False
-        F_A = self._fingerprint(items[-self.window_size:])
-        sim_a = similarity(self.concept.mu, F_A, self._weights())
-        breach = (
-            self.sim.n >= 5
-            and sim_a < self.sim.mean - 3.5 * max(self.sim.std, 0.03)
-        )
-        self._breaches = self._breaches + 1 if breach else 0
+        F_A = self._fingerprint(X[-w:], Y[-w:], L[-w:])
+        sim_a = similarity(F_c.mu, F_A, self.weights(F_c, repo))
+        # ADWIN (paper) plus the consecutive-breach rule: at our scaled
+        # segment lengths ADWIN's Hoeffding term needs more samples per
+        # segment than exist (documented deviation)
+        self._breaches = self._breaches + 1 if self._breached(sim_a) else 0
         adwin_drift = self.detector.add(sim_a)
-        drift = self.sim.n >= self.min_sim_history and (
-            adwin_drift or self._breaches >= 4
+        drift = rec.sim.n >= self.min_sim_history and (
+            adwin_drift or self._breaches >= self.breach_count
         )
         if drift:
             self.n_drifts += 1
-            self._reset_concept()
         return sim_a, drift
 
-    def _reset_concept(self) -> None:
-        from repro.core.fingerprint import ConceptFingerprint
-
-        self.concept = ConceptFingerprint(self.schema.dim)
-        self.sim = _Welford()
+    def activate(self, rec: ConceptRecord) -> None:
+        """Make ``rec`` the active concept: the one reset path after a drift."""
+        self.active = rec
         self.detector.reset()
         self._breaches = 0
+        # let the windows refill with post-drift data before detecting again
         self._cooldown_until = self.i + self.window_size
+
+    def window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, y, l) of the last w+b observations, oldest first: once full,
+        ``B`` is the first w rows and ``A`` the last w."""
+        j = self.i % len(self.y)
+        return tuple(np.concatenate((a[j:], a[:j])) for a in (self.X, self.y, self.l))
+
+    def weights(self, ref: ConceptFingerprint, repo: Repository | None = None) -> np.ndarray:
+        """Dynamic weights for similarity against concept fingerprint ``ref``."""
+        # dims without a trained distribution (count<2, e.g. just
+        # plasticity-reset) get neutral scale, not the 1/σ maximum
+        ref_sigma = np.where(ref.count >= 2, ref.sigma, 1.0)
+        stacks = repo.stat_stacks() if repo is not None else None
+        w = dynamic_weights(ref_sigma, *(stacks or (None, None)))
+        # dims whose value never varied globally carry no signal at all
+        degenerate = (self.normalizer.hi - self.normalizer.lo) < 1e-9
+        return np.where(degenerate, 0.0, w)
+
+    # ------------------------------------------------------------ internals
+    def _breached(self, sim: float) -> bool:
+        s = self.active.sim
+        return s.n >= 5 and sim < s.mean - self.breach_sigmas * max(s.std, self.breach_floor)
+
+    def _fingerprint(self, X: np.ndarray, y: np.ndarray, l: np.ndarray) -> np.ndarray:
+        raw = compute_fingerprint(X, y, l, self.schema, self.active.classifier)
+        self.normalizer.update(raw)
+        return self.normalizer.normalize(raw)

@@ -53,7 +53,8 @@ class ConceptRecord:
         self.fingerprint = ConceptFingerprint(dim)
         self.classifier = classifier
         self.sim = _Welford()  # μ_c, σ_c of Sim(F_c, F_B)
-        self.sc_stats = ConceptFingerprint(dim)  # distribution of F_SC vectors
+        #: distribution of F_SC vectors; only repository records keep one
+        self.sc_stats: ConceptFingerprint | None = None
         #: last incorporated fingerprint — re-calibrates stale similarity
         #: records under the current weighting regime (paper Section IV)
         self.calib_vec: np.ndarray | None = None
@@ -81,6 +82,7 @@ class Repository:
 
     def create(self, classifier, created_at: int) -> ConceptRecord:
         rec = ConceptRecord(self._next_id, self.dim, classifier, created_at)
+        rec.sc_stats = ConceptFingerprint(self.dim)
         self._next_id += 1
         self.records.append(rec)
         return rec

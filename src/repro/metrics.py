@@ -1,5 +1,6 @@
-"""Evaluation metrics (Section II): Cohen's κ, co-occurrence C-F1 and
-discrimination ability."""
+"""Evaluation metrics (Section II): Cohen's κ and co-occurrence C-F1.
+
+Discrimination ability lives in ``repro.core.discrimination``."""
 from __future__ import annotations
 
 import numpy as np
@@ -50,36 +51,3 @@ def c_f1(concept_ids: np.ndarray, model_ids: np.ndarray) -> float:
         scores.append(best)
     return float(np.mean(scores)) if scores else 0.0
 
-
-def best_tracking_model(concept_ids: np.ndarray, model_ids: np.ndarray) -> dict[int, int]:
-    """Map each ground-truth concept to the model id that best tracks it."""
-    concept_ids = np.asarray(concept_ids)
-    model_ids = np.asarray(model_ids)
-    out: dict[int, int] = {}
-    for c in np.unique(concept_ids):
-        in_c = concept_ids == c
-        best_f1, best_m = -1.0, int(np.unique(model_ids)[0])
-        for m in np.unique(model_ids):
-            in_m = model_ids == m
-            tp = float(np.sum(in_c & in_m))
-            if tp == 0:
-                continue
-            prec = tp / float(np.sum(in_m))
-            rec = tp / float(np.sum(in_c))
-            f1 = 2 * prec * rec / (prec + rec)
-            if f1 > best_f1:
-                best_f1, best_m = f1, int(m)
-        out[int(c)] = best_m
-    return out
-
-
-def separation_zscore(sim_correct: float, sims_other: list[float]) -> float:
-    """Discrimination of one probe window: z-score separation of the
-    correct concept's similarity from the other stored concepts'
-    (DESIGN.md substitution #8). Capped at 500 like the paper's tables."""
-    if not sims_other:
-        return 0.0
-    others = np.asarray(sims_other, dtype=float)
-    spread = float(np.std(others))
-    z = (sim_correct - float(np.mean(others))) / max(spread, 1e-3)
-    return float(np.clip(z, -500.0, 500.0))

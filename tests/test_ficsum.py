@@ -1,5 +1,7 @@
 """Integration tests for the FiCSUM main loop, repository, monitor and
 baseline frameworks."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,8 +157,6 @@ class TestDriftMonitor:
         assert np.isnan(sim) and not drift
 
     def test_picklable(self):
-        import pickle
-
         mon = DriftMonitor(2)
         g = np.random.default_rng(0)
         for i in range(200):
@@ -164,6 +164,30 @@ class TestDriftMonitor:
         mon2 = pickle.loads(pickle.dumps(mon))
         x, y = g.random(2), 1
         assert mon2.add(x, y, 0)[0] == mon.add(x, y, 0)[0]
+
+
+#: rows a 3-feature stream must reject: a NaN would pin the normalizer's
+#: min/max for good, and a length-1 row would broadcast into a window row
+MALFORMED_ROWS = {
+    "nan": [0.1, np.nan, 0.3],
+    "inf": [0.1, 0.2, -np.inf],
+    "short": [0.1, 0.2],
+    "length-1": [0.5],
+}
+
+
+@pytest.mark.parametrize("make", [lambda: DriftMonitor(3), lambda: FiCSUM(3, 2)],
+                         ids=["monitor", "ficsum"])
+@pytest.mark.parametrize("row", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_row_rejected_without_trace(make, row):
+    m = make()
+    feed = m.add if isinstance(m, DriftMonitor) else m.process
+    for x in np.random.default_rng(0).random((80, 3)):  # windows full
+        feed(x, int(x[0] > 0.5))
+    before = pickle.dumps(m)
+    with pytest.raises(ValueError, match="3 finite feature values"):
+        feed(np.array(row), 0)
+    assert pickle.dumps(m) == before
 
 
 class TestHTCD:

@@ -1,4 +1,4 @@
-"""Unit tests for kappa, C-F1 and separation z-score."""
+"""Unit tests for kappa and C-F1."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,27 +60,8 @@ class TestCF1:
         m_frag = np.repeat([0, 1, 2, 3], 50)
         assert M.c_f1(c, m_whole) > M.c_f1(c, m_frag)
 
-    def test_best_tracking_model_mapping(self):
-        c = np.array([0] * 10 + [1] * 10)
-        m = np.array([7] * 10 + [3] * 10)
-        assert M.best_tracking_model(c, m) == {0: 7, 1: 3}
-
     def test_paper_single_model_six_concepts(self):
         """Matches DWM/ARF C-F1 = 0.29 reported for 6-concept datasets."""
         c = np.repeat(np.arange(6), 500)
         m = np.zeros(3000, dtype=int)
         assert M.c_f1(c, m) == pytest.approx(0.286, abs=0.01)
-
-
-class TestSeparation:
-    def test_positive_when_correct_above(self):
-        assert M.separation_zscore(0.9, [0.1, 0.2, 0.15]) > 5
-
-    def test_zero_when_equal(self):
-        assert M.separation_zscore(0.5, [0.5, 0.5]) == 0.0
-
-    def test_capped_at_500(self):
-        assert M.separation_zscore(1.0, [0.0, 0.0]) == 500.0
-
-    def test_empty_others(self):
-        assert M.separation_zscore(0.9, []) == 0.0

