@@ -12,11 +12,20 @@ A from-scratch Very Fast Decision Tree over numeric features:
   (Section IV plasticity);
 - ``feature_contributions`` (per row) and ``feature_contributions_batch``
   (per window) — Saabas-style path attribution used as the
-  Shapley-value meta-information feature (DESIGN.md substitution #3).
+  Shapley-value meta-information feature (DESIGN.md substitution #3);
+- ``predict`` (per row) and ``predict_batch`` (per window, bit-identical
+  to the per-row calls) — the latter relabels a whole window, as model
+  selection and the oracle discrimination do for every stored concept.
+
+The split search scores every feature's candidate thresholds in one
+array pass (``_candidate_gains``); ``_candidate_gain`` is its per-feature
+scalar reference.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.binning import linspace_rows
 
 _EPS = 1e-9
 _N_CANDIDATES = 8
@@ -151,6 +160,54 @@ class HoeffdingTree:
     def predict(self, x: np.ndarray) -> int:
         return int(np.argmax(self.predict_proba(x)))
 
+    def _leaf_proba_batch(self, leaf: _Node, X: np.ndarray) -> np.ndarray:
+        """:meth:`_leaf_proba` of every row of ``X`` at ``leaf``, as a
+        (len(X), n_classes) block bit-identical to stacking the per-row
+        calls: the same elementwise steps, with each per-row sum a
+        reduction over the contiguous last axis (numpy's pairwise sum,
+        grouped as for a 1-D array)."""
+        st = leaf.stats
+        total = st.total
+        if total == 0:
+            return np.full((len(X), self.n_classes), 1.0 / self.n_classes)
+        mc = st.class_counts / total
+        if st.nb_correct < st.mc_correct or total < 2 * self.n_classes:
+            return np.tile(mc, (len(X), 1))
+        log_p = np.full((len(X), self.n_classes), -np.inf)
+        counts = st.class_counts
+        seen = counts > 0
+        log_p[:, seen] = np.log(counts[seen] / total)  # the prior; nc >= 2 adds the Gaussian term
+        nb = np.flatnonzero(counts >= 2)
+        if nb.size:
+            nc = counts[nb]
+            var = st.m2[nb] / nc[:, None] + _EPS
+            terms = np.log(2 * np.pi * var) + (X[:, None, :] - st.mean[nb]) ** 2 / var
+            log_p[:, nb] -= 0.5 * terms.sum(axis=2)
+        log_p -= log_p.max(axis=1, keepdims=True)
+        p = np.exp(log_p)
+        return p / p.sum(axis=1, keepdims=True)
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of every row of ``X`` as an int array, equal to
+        the per-row calls.
+
+        All rows are routed down the tree together, as in
+        :meth:`feature_contributions_batch`; each leaf scores its rows as
+        one block (:meth:`_leaf_proba_batch`).
+        """
+        out = np.zeros(len(X), dtype=np.intp)
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = np.argmax(self._leaf_proba_batch(node, X[rows]), axis=1)
+                continue
+            left = X[rows, node.split_feature] <= node.threshold
+            for child, sub in ((node.left, rows[left]), (node.right, rows[~left])):
+                if sub.size:
+                    stack.append((child, sub))
+        return out
+
     # ----------------------------------------------------------------- train
     def partial_fit(self, x: np.ndarray, y: int) -> None:
         self.n_seen += 1
@@ -159,6 +216,7 @@ class HoeffdingTree:
         if st.total > 0:
             mc_pred = int(np.argmax(st.class_counts))
             st.mc_correct += mc_pred == y
+            # not predict()'s score: mc_correct, credited just above, decides NB vs majority
             nb = self._leaf_proba(leaf, x)
             st.nb_correct += int(np.argmax(nb)) == y
         st.update(x, y)
@@ -171,7 +229,8 @@ class HoeffdingTree:
             leaf.n_seen_at_split = st.total
 
     def _candidate_gain(self, st: _LeafStats, feat: int) -> tuple[float, float]:
-        """Best (gain, threshold) for ``feat`` from the class Gaussians."""
+        """Best (gain, threshold) for ``feat`` from the class Gaussians:
+        the scalar reference that :meth:`_candidate_gains` must equal."""
         present = st.class_counts > 1
         if present.sum() == 0:
             return 0.0, 0.0
@@ -201,9 +260,54 @@ class HoeffdingTree:
                 best_gain, best_thr = float(gain), float(thr)
         return best_gain, best_thr
 
+    def _candidate_gains(self, st: _LeafStats) -> list[tuple[float, float]]:
+        """:meth:`_candidate_gain` of every feature, equal to the
+        per-feature calls.
+
+        The thresholds, the Gaussian CDFs and the left/right sums are
+        computed for all (feature, threshold, class) at once, with the
+        same elementwise steps, row-wise ``np.linspace`` and per-candidate
+        sums over the contiguous class axis; the entropies and the strict
+        first-maximum scan stay per candidate.
+        """
+        counts = st.class_counts
+        present = counts > 1
+        n_feat = self.n_features
+        if present.sum() == 0:
+            return [(0.0, 0.0)] * n_feat
+        means = st.mean[present]
+        stds = np.sqrt(st.m2[present] / counts[present, None]) + _EPS
+        lo = np.min(means - 2 * stds, axis=0)
+        hi = np.max(means + 2 * stds, axis=0)
+        live = hi - lo >= _EPS
+        thr = linspace_rows(lo, hi, _N_CANDIDATES + 2)[:, 1:-1]
+        # P(x_feat <= thr | class) under the leaf Gaussians: (feat, thr, class)
+        scale = np.sqrt(st.m2.T / np.maximum(counts, 1)) + _EPS
+        z = (thr[:, :, None] - st.mean.T[:, None, :]) / scale[:, None, :]
+        cdf = 0.5 * (1 + _erf(z / np.sqrt(2)))
+        left = counts * cdf
+        right = counts - left
+        lts, rts = left.sum(axis=2), right.sum(axis=2)
+        base = _entropy(counts)
+        total = counts.sum()
+        out = []
+        for f in range(n_feat):
+            best_gain, best_thr = 0.0, 0.0
+            if live[f]:
+                for t in range(_N_CANDIDATES):
+                    lt, rt = lts[f, t], rts[f, t]
+                    if lt < 1 or rt < 1:
+                        continue
+                    gain = (base - (lt / total) * _entropy(left[f, t])
+                            - (rt / total) * _entropy(right[f, t]))
+                    if gain > best_gain:
+                        best_gain, best_thr = float(gain), float(thr[f, t])
+            out.append((best_gain, best_thr))
+        return out
+
     def _try_split(self, leaf: _Node) -> None:
         st = leaf.stats
-        gains = [self._candidate_gain(st, f) for f in range(self.n_features)]
+        gains = self._candidate_gains(st)
         order = sorted(range(self.n_features), key=lambda f: -gains[f][0])
         g1 = gains[order[0]][0]
         g2 = gains[order[1]][0] if self.n_features > 1 else 0.0

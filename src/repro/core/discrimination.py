@@ -86,7 +86,7 @@ def oracle_discrimination_ds(
     def fp(a: int, c: int, update: bool = True) -> np.ndarray:
         Xw = ds.X[a: a + window_size]
         yw = ds.y[a: a + window_size]
-        lw = np.array([trees[c].predict(x) for x in Xw])
+        lw = trees[c].predict_batch(Xw)
         raw = compute_fingerprint(Xw, yw, lw, schema, trees[c])
         if update:
             norm.update(raw)

@@ -139,7 +139,7 @@ class FiCSUM:
         w = self.cfg.window_size
         X, y, _ = self.monitor.window()
         X, y = X[-w:], y[-w:]
-        l = np.array([rec.classifier.predict(x) for x in X])
+        l = rec.classifier.predict_batch(X)
         raw = compute_fingerprint(X, y, l, self.schema, rec.classifier)
         return self.monitor.normalizer.normalize(raw)
 

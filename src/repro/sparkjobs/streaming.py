@@ -20,6 +20,7 @@ operator's input schema is independent of d.
 """
 from __future__ import annotations
 
+import logging
 import pickle
 from typing import Iterator
 
@@ -30,13 +31,18 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 OUTPUT_SCHEMA = "stream_id string, seq long, similarity double, drift boolean"
 STATE_SCHEMA = "blob binary"
 
+log = logging.getLogger(__name__)
+
 
 def make_drift_fn(n_features: int, **monitor_kwargs):
     """Build the per-key stateful function for ``applyInPandasWithState``.
 
     The returned closure deserializes the per-key DriftMonitor, replays
     the batch's rows in ``seq`` order (ignoring already-seen sequence
-    numbers on replay), and stores the updated monitor back.
+    numbers on replay), and stores the updated monitor back. A row the
+    monitor rejects (wrong feature count, NaN or inf) or with a null label
+    is dropped without touching the monitor, and the batch's drop count
+    is logged.
     """
 
     def fn(
@@ -49,16 +55,24 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
         else:
             monitor = DriftMonitor(n_features, **monitor_kwargs)
         out_rows = []
+        rejected = 0
         for pdf in pdfs:
             pdf = pdf.sort_values("seq")
             for _, row in pdf.iterrows():
                 seq = int(row["seq"])
                 if seq < monitor.i:  # replay/out-of-order guard
                     continue
-                sim, drift = monitor.add(
-                    list(row["features"]), int(row["y"]), int(row["l"])
-                )
+                try:
+                    x = monitor.check(list(row["features"]))
+                    y, l = int(row["y"]), int(row["l"])  # a null label arrives as NaN
+                except ValueError:
+                    rejected += 1
+                    continue
+                sim, drift = monitor.add(x, y, l)
                 out_rows.append((key[0], seq, sim, drift))
+        if rejected:
+            log.warning("stream %s: dropped %d malformed rows in this batch",
+                        key[0], rejected)
         state.update((pickle.dumps(monitor),))
         if out_rows:
             yield pd.DataFrame(

@@ -1,15 +1,17 @@
-"""The batched fingerprint kernels equal their scalar references exactly.
+"""The batched kernels equal their scalar references exactly.
 
 ``mutual_info_matrix``, ``imf_entropies_matrix`` and
 ``feature_contributions_batch`` replace per-column and per-row loops over
 ``f_mutual_info``, ``imf_entropies`` and ``feature_contributions``. They
 must give the same floats (``np.array_equal``, not a tolerance) on every
 window, so fingerprints, similarities and drift decisions do not move.
+The Hoeffding tree's ``predict_batch`` and ``_candidate_gains`` likewise
+replace per-row ``predict`` and per-feature ``_candidate_gain`` calls.
 """
 import numpy as np
 import pytest
 
-from repro.classifiers.hoeffding_tree import HoeffdingTree
+from repro.classifiers.hoeffding_tree import HoeffdingTree, _erf, _LeafStats
 from repro.core import emd
 from repro.core import meta_features as mf
 from repro.core.binning import histogram_bins, histogramdd_bins, linspace_rows
@@ -219,3 +221,216 @@ def test_feature_contributions_batch_on_window_rows():
     W = ds.X[600:650]
     want = np.stack([tree.feature_contributions(x) for x in W])
     assert np.array_equal(tree.feature_contributions_batch(W), want)
+
+
+# ------------------------------------------------------------ tree predict
+def _leaf_kinds(tree: HoeffdingTree, leaf) -> set[str]:
+    """Which branches of ``_leaf_proba`` a leaf takes."""
+    st, n_classes = leaf.stats, tree.n_classes
+    if st.total == 0:
+        return {"empty"}
+    if st.total < 2 * n_classes:
+        return {"majority_young"}
+    if st.nb_correct < st.mc_correct:
+        return {"majority_worse"}
+    kinds = {"naive_bayes"}
+    if (st.class_counts == 0).any():
+        kinds.add("nc0")
+    if (st.class_counts == 1).any():
+        kinds.add("nc1")
+    return kinds
+
+
+_PREDICT_TREES = {}
+
+
+def _predict_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
+    """A seeded tree (d 1-40, 2-12 classes, noisy and skewed labels) and a
+    probe window with duplicate rows and rows exactly on split thresholds."""
+    if seed not in _PREDICT_TREES:
+        _PREDICT_TREES[seed] = _build_predict_tree(seed)
+    return _PREDICT_TREES[seed]
+
+
+def _build_predict_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
+    g = np.random.default_rng([seed, 31])
+    d, n_classes = int(g.integers(1, 41)), int(g.integers(2, 13))
+    tree = HoeffdingTree(d, n_classes, grace_period=int(g.integers(5, 40)),
+                         tau=float(g.uniform(0.05, 0.5)), max_depth=int(g.integers(1, 12)))
+    n = 0 if seed % 10 == 0 else int(g.integers(1, 900))
+    X = g.standard_normal((n, d)) * g.uniform(0.1, 10, d)
+    score = X @ g.standard_normal(d)
+    y = np.digitize(score, np.quantile(score, np.sort(g.random(n_classes - 1)))) if n else []
+    noise = g.choice([0.0, 0.2, 0.9])  # share of labels drawn at random
+    for j in range(n):
+        label = int(y[j]) if g.random() >= noise else int(g.integers(n_classes))
+        tree.partial_fit(X[j], label)
+    if seed % 4 == 1:
+        # training credits the majority class before scoring, which keeps
+        # nb_correct >= mc_correct; set the majority-wins branch directly
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                stack += [node.left, node.right]
+            elif g.random() < 0.5:
+                node.stats.mc_correct = node.stats.nb_correct + 1
+    W = g.standard_normal((int(g.choice([1, 8, 50, 75])), d)) * 2
+    W = np.concatenate([W, W[g.integers(0, len(W), 5)]])  # duplicates
+    on_threshold = []
+    for x in W[:10]:
+        node, x = tree.root, x.copy()
+        while not node.is_leaf:
+            if g.random() < 0.5:
+                x[node.split_feature] = node.threshold
+            node = node.left if x[node.split_feature] <= node.threshold else node.right
+        on_threshold.append(x)
+    return tree, np.concatenate([W] + [np.stack(on_threshold)])
+
+
+PREDICT_SEEDS = range(80)
+
+
+@pytest.mark.parametrize("seed", PREDICT_SEEDS)
+def test_predict_batch_exact(seed):
+    tree, W = _predict_tree(seed)
+    want = np.array([tree.predict(x) for x in W])
+    got = tree.predict_batch(W)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for leaf in {id(tree._sort(x)): tree._sort(x) for x in W}.values():
+        rows = W[[tree._sort(x) is leaf for x in W]]
+        block = tree._leaf_proba_batch(leaf, rows)
+        assert np.array_equal(block, np.stack([tree._leaf_proba(leaf, x) for x in rows]))
+
+
+def test_predict_batch_covers_leaf_kinds():
+    """The seeded trees reach every branch of the leaf score, and probe
+    rows land exactly on thresholds they are compared with."""
+    kinds, on_threshold = set(), 0
+    for seed in PREDICT_SEEDS:
+        tree, W = _predict_tree(seed)
+        for x in W:
+            kinds |= _leaf_kinds(tree, tree._sort(x))
+            on_threshold += any(x[p.split_feature] == p.threshold
+                                for p in tree._path(x)[:-1])
+    assert kinds == {"empty", "majority_young", "majority_worse", "naive_bayes",
+                     "nc0", "nc1"}
+    assert on_threshold > 0
+
+
+def test_predict_batch_empty_and_fresh():
+    tree = HoeffdingTree(3, 4)
+    assert np.array_equal(tree.predict_batch(np.zeros((0, 3))), np.zeros(0, np.intp))
+    W = np.random.default_rng(0).random((6, 3))
+    assert np.array_equal(tree.predict_batch(W), [tree.predict(x) for x in W])
+    tree, W = _predict_tree(3)
+    assert tree.predict_batch(W[:0]).shape == (0,)
+
+
+def test_predict_batch_does_not_call_predict(monkeypatch):
+    tree, W = _predict_tree(7)
+    want = np.array([tree.predict(x) for x in W])
+
+    def boom(*args):
+        raise AssertionError("per-row path called")
+
+    for name in ("predict", "predict_proba", "_leaf_proba"):
+        monkeypatch.setattr(HoeffdingTree, name, boom)
+    assert np.array_equal(tree.predict_batch(W), want)
+
+
+# ------------------------------------------------------------ split search
+def _gains_hex(gains) -> list[tuple[str, str]]:
+    return [(float(g).hex(), float(t).hex()) for g, t in gains]
+
+
+def _assert_gains_exact(tree: HoeffdingTree, st: _LeafStats, got=None) -> None:
+    want = [tree._candidate_gain(st, f) for f in range(tree.n_features)]
+    if got is None:
+        got = tree._candidate_gains(st)
+    assert got == want
+    assert _gains_hex(got) == _gains_hex(want)
+
+
+@pytest.mark.parametrize("name", ["RBF", "Arabic"])
+def test_candidate_gains_along_real_runs(name, monkeypatch):
+    """Every split attempt of a tree trained along a real stream."""
+    ds = _stream(name)
+    seen = []
+    batched = HoeffdingTree._candidate_gains
+
+    def checked(self, st):
+        got = batched(self, st)
+        _assert_gains_exact(self, st, got)
+        seen.append(1)
+        return got
+
+    monkeypatch.setattr(HoeffdingTree, "_candidate_gains", checked)
+    for grace in (10, 30):
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=grace)
+        for j in range(len(ds)):
+            tree.partial_fit(ds.X[j], int(ds.y[j]))
+    assert len(seen) > 100
+
+
+def _random_stats(g: np.random.Generator, n_features: int, n_classes: int,
+                  max_count: int) -> _LeafStats:
+    st = _LeafStats(n_features, n_classes)
+    st.class_counts = g.integers(0, max_count + 1, n_classes).astype(float)
+    st.mean = g.standard_normal((n_classes, n_features)) * g.choice([1e-3, 1.0, 1e3], n_features)
+    st.m2 = g.random((n_classes, n_features)) * st.class_counts[:, None] * g.uniform(0.01, 5)
+    return st
+
+
+def _left_sums(st: _LeafStats, feat: int) -> list[float]:
+    """Left-branch mass of each candidate threshold, as the scalar loop sums it."""
+    present = st.class_counts > 1
+    means = st.mean[present, feat]
+    stds = np.sqrt(st.m2[present, feat] / st.class_counts[present]) + 1e-9
+    counts = st.class_counts
+    sums = []
+    for thr in np.linspace(np.min(means - 2 * stds), np.max(means + 2 * stds), 10)[1:-1]:
+        z = (thr - st.mean[:, feat]) / (np.sqrt(st.m2[:, feat] / np.maximum(counts, 1)) + 1e-9)
+        sums.append(float((counts * 0.5 * (1 + _erf(z / np.sqrt(2)))).sum()))
+    return sums
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_candidate_gains_random_stats(seed):
+    """Random leaf statistics with 2-130 classes: from 8 classes on,
+    numpy's pairwise summation groups the class sums differently."""
+    g = np.random.default_rng([seed, 8])
+    n_classes = int(g.choice([2, 5, 8, 9, 12, 16, 31, 130]))
+    n_features = int(g.integers(1, 41))
+    tree = HoeffdingTree(n_features, n_classes)
+    for max_count in (3, 40, 5000):
+        _assert_gains_exact(tree, _random_stats(g, n_features, n_classes, max_count))
+
+
+def test_candidate_gains_edge_stats():
+    g = np.random.default_rng(99)
+    tree = HoeffdingTree(4, 9)
+    # no class with more than one observation: no candidate at all
+    st = _random_stats(g, 4, 9, 1)
+    assert not (st.class_counts > 1).any()
+    assert tree._candidate_gains(st) == [(0.0, 0.0)] * 4
+    _assert_gains_exact(tree, st)
+    # constant features: one whose range rounds below EPS, one just above
+    st = _random_stats(g, 4, 9, 30)
+    st.class_counts[:2] = 7
+    st.mean[:, 1], st.m2[:, 1] = 1e8, 0.0
+    st.mean[:, 2], st.m2[:, 2] = 0.25, 0.0
+    present = st.class_counts > 1
+    spread = st.mean[present, 1] + 2e-9 - (st.mean[present, 1] - 2e-9)
+    assert spread.max() < 1e-9
+    gains = tree._candidate_gains(st)
+    assert gains[1] == (0.0, 0.0)
+    _assert_gains_exact(tree, st)
+    # so few observations that outer thresholds leave < 1 on a side
+    st = _LeafStats(4, 9)
+    st.class_counts[[0, 3]] = 2, 1
+    st.mean[[0, 3]] = g.standard_normal((2, 4))
+    st.m2[0] = g.random(4)
+    assert any(s < 1 or 3 - s < 1 for f in range(4) for s in _left_sums(st, f))
+    _assert_gains_exact(tree, st)

@@ -119,3 +119,57 @@ def test_two_keys_independent_state(spark, tmp_path):
     res = spark.sql("select * from drift_two").toPandas()
     assert set(res.stream_id) == {"a", "b"}
     assert (res.groupby("stream_id").size() == n).all()
+
+
+def _group_state(blob=None):
+    """The GroupState Spark hands the operator for one key and batch."""
+    from pyspark.sql import Row
+    from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
+    from pyspark.sql.types import BinaryType, StructField, StructType
+
+    return GroupState(
+        Row(blob) if blob is not None else None, 0, GroupState.NO_TIMESTAMP,
+        GroupStateTimeout.NoTimeout, False, False,
+        blob is not None, False, False, GroupState.NO_TIMESTAMP,
+        b"", StructType([StructField("blob", BinaryType())]),
+    )
+
+
+def test_malformed_rows_dropped_not_failing_batch(caplog):
+    """A NaN row, a short row and a row with a null label are dropped and
+    counted; the rest of the micro-batch is emitted as a clean monitor
+    would, and the state is stored (no Spark session: the operator is
+    called directly)."""
+    import logging
+    import pickle
+
+    from repro.core.monitor import DriftMonitor
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    n = 120
+    pdf = _obs_pdf(ds, n)
+    feats = [list(f) for f in pdf.features]
+    feats[10][0] = float("nan")
+    feats[57] = feats[57][:-1]
+    pdf["features"] = feats
+    pdf["l"] = pdf["l"].astype(float)
+    pdf.loc[90, "l"] = np.nan  # how Arrow hands pandas a null long
+    bad = {10, 57, 90}
+
+    fn = make_drift_fn(ds.n_features)
+    state = _group_state()
+    with caplog.at_level(logging.WARNING, logger="repro.sparkjobs.streaming"):
+        out = pd.concat(list(fn(("s0",), iter([pdf]), state)))
+    assert list(out.seq) == [s for s in range(n) if s not in bad]
+    assert "dropped 3 malformed rows" in caplog.text
+
+    ref = DriftMonitor(ds.n_features)
+    want = [ref.add(ds.X[s], int(ds.y[s]), int(ds.y[s])) for s in range(n) if s not in bad]
+    np.testing.assert_array_equal(out.similarity, [s for s, _ in want])
+    assert list(out.drift) == [d for _, d in want]
+
+    assert state.exists
+    stored = pickle.loads(state.get[0])
+    assert stored.i == n - len(bad) == ref.i
+    assert stored.n_drifts == ref.n_drifts
