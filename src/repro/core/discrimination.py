@@ -83,13 +83,12 @@ def oracle_discrimination_ds(
 
     norm = Normalizer(schema.dim)
 
-    def fp(a: int, c: int, update: bool = True) -> np.ndarray:
+    def fp(a: int, c: int) -> np.ndarray:
         Xw = ds.X[a: a + window_size]
         yw = ds.y[a: a + window_size]
         lw = trees[c].predict_batch(Xw)
         raw = compute_fingerprint(Xw, yw, lw, schema, trees[c])
-        if update:
-            norm.update(raw)
+        norm.update(raw)
         return raw
 
     # concept fingerprints from first-occurrence windows
@@ -117,10 +116,15 @@ def oracle_discrimination_ds(
         mid = start + (end - start) // 2
         if mid + window_size > end:
             continue
-        sims = {}
-        for cc in concepts:
-            raw = fp(mid, cc, update=False)
-            sims[cc] = similarity(reps[cc].mu, norm.normalize(raw), weights[cc])
+        # every concept's labelling of the probe window in one call
+        Xw = ds.X[mid: mid + window_size]
+        cand = [trees[cc] for cc in concepts]
+        L = np.stack([t.predict_batch(Xw) for t in cand])
+        raws = compute_fingerprint(Xw, ds.y[mid: mid + window_size], L, schema, cand)
+        sims = {
+            cc: similarity(reps[cc].mu, norm.normalize(raw), weights[cc])
+            for cc, raw in zip(concepts, raws)
+        }
         probes.append((sims[c], [s for k, s in sims.items() if k != c]))
     if not probes:
         return 0.0

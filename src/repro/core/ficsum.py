@@ -134,22 +134,25 @@ class FiCSUM:
             self._update_sc_stats()
         return res
 
-    def _relabel_fingerprint(self, rec: ConceptRecord) -> np.ndarray:
-        """F_AS: fingerprint of window ``A`` relabelled by ``rec``'s classifier."""
+    def _relabel_fingerprints(self, recs: list[ConceptRecord]) -> np.ndarray:
+        """F_AS per record, (len(recs), dim): window ``A`` relabelled by each
+        record's classifier, all labellings fingerprinted in one call."""
         w = self.cfg.window_size
         X, y, _ = self.monitor.window()
         X, y = X[-w:], y[-w:]
-        l = rec.classifier.predict_batch(X)
-        raw = compute_fingerprint(X, y, l, self.schema, rec.classifier)
+        trees = [rec.classifier for rec in recs]
+        L = np.stack([t.predict_batch(X) for t in trees])
+        raw = compute_fingerprint(X, y, L, self.schema, trees)
         return self.monitor.normalizer.normalize(raw)
 
     # -------------------------------------------------------- model selection
     def _candidates(self, exclude: ConceptRecord) -> list[tuple[float, ConceptRecord]]:
+        recs = [rec for rec in self.repo if rec is not exclude and rec.mature
+                and rec.fingerprint.n_incorporated >= 2]
+        if not recs:
+            return []
         out = []
-        for rec in self.repo:
-            if rec is exclude or not rec.mature or rec.fingerprint.n_incorporated < 2:
-                continue
-            F_AS = self._relabel_fingerprint(rec)
+        for rec, F_AS in zip(recs, self._relabel_fingerprints(recs)):
             W = self.monitor.weights(rec.fingerprint, self.repo)
             sim = similarity(rec.fingerprint.mu, F_AS, W)
             # normal-operation reference: stored μ_s, re-calibrated under
@@ -196,9 +199,9 @@ class FiCSUM:
 
     def _update_sc_stats(self) -> None:
         """Periodic F_SC capture for non-active concepts (P_S, Sec III-B2)."""
-        for rec in self.repo:
-            if rec is not self.active:
-                rec.sc_stats.incorporate(self._relabel_fingerprint(rec))
+        recs = [rec for rec in self.repo if rec is not self.active]
+        for rec, F_SC in zip(recs, self._relabel_fingerprints(recs)):
+            rec.sc_stats.incorporate(F_SC)
 
     # ------------------------------------------------------------- inspection
     def repository_summary(self) -> list[dict]:

@@ -9,6 +9,12 @@ meta-information functions. The classifier-derived Shapley feature
 (path attribution, one value per input feature) is appended for feature
 sources when a tree is supplied.
 
+Model selection and the discrimination oracle fingerprint one window
+under several classifiers. ``compute_fingerprint`` takes those
+labellings as one (n, w) stack: the classifier-free sources (features
+and ``y``) are distilled once, and every labelling's ``l`` and error
+columns join the same batched kernel call.
+
 ``Normalizer`` tracks the online min/max of every fingerprint dimension
 and rescales to [0,1] (Section III-A "the observed range of each
 meta-information feature is scaled to [0,1]").
@@ -114,38 +120,55 @@ def compute_fingerprint(
     ``tree`` must provide ``feature_contributions_batch(X)`` when the schema's
     shapley feature is enabled; pass None to emit zeros there (e.g. the
     classifier-free streaming path).
+
+    ``l`` may also be an (n, w) stack of labellings of the same window, with
+    ``tree`` then a sequence of n trees (or None); the result is (n, dim),
+    row r equal to the call with ``l[r]`` and ``tree[r]``. The
+    classifier-free columns (feature sources and ``y``) enter the one
+    :func:`compute_feature_matrix` call once, followed by the (l, error)
+    columns of every labelling: its kernels are exact per column, so each
+    row is bit-identical to a single-labelling call.
     """
+    l = np.asarray(l)
+    if l.ndim == 1:
+        return _labelled_fingerprints(X, y, l[None], schema, [tree])[0]
+    trees = [None] * len(l) if tree is None else list(tree)
+    return _labelled_fingerprints(X, y, l, schema, trees)
+
+
+def _labelled_fingerprints(X: np.ndarray, y: np.ndarray, l: np.ndarray,
+                           schema: FingerprintSchema, trees: list) -> np.ndarray:
+    """:func:`compute_fingerprint` of the (n, w) labellings ``l``."""
     errors = (y != l).astype(float)
     if schema.source_mode == "error_rate":
-        return np.array([float(errors.mean()) if len(errors) else 0.0])
-    # equal-length sources go through the vectorized matrix fast path;
-    # error_dist (variable length) uses the scalar path
-    cols: list[np.ndarray] = []
-    for s in schema.sources:
-        if s.startswith("x"):
-            cols.append(X[:, int(s[1:])])
-        elif s == "y":
-            cols.append(y.astype(float))
-        elif s == "l":
-            cols.append(l.astype(float))
-        elif s == "error":
-            cols.append(errors)
+        return np.array([[float(e.mean()) if e.size else 0.0] for e in errors])
+    free = [s for s in schema.sources if s not in CLASSIFIER_SOURCES]
+    per_label = [s for s in schema.sources if s in ("l", "error")]
+    cols = [X[:, int(s[1:])] if s.startswith("x") else y.astype(float) for s in free]
+    for lr, er in zip(l, errors):
+        cols += [lr.astype(float) if s == "l" else er for s in per_label]
     mat = compute_feature_matrix(np.column_stack(cols), schema.seq_functions)
-    parts = [mat[i] for i in range(mat.shape[0])]
-    if "error_dist" in schema.sources:
-        parts.append(
-            compute_sequence_features(
-                error_distance_sequence(errors), schema.seq_functions
-            )
-        )
-    vec = np.concatenate(parts) if parts else np.array([])
-    if schema.use_shapley:
-        if tree is None:
-            shap = np.zeros(schema.n_features)
-        else:
-            shap = np.mean(tree.feature_contributions_batch(X), axis=0)
-        vec = np.concatenate([vec, shap])
-    return vec
+    head = mat[: len(free)].ravel()
+    rows = []
+    for r, er in enumerate(errors):
+        a = len(free) + r * len(per_label)
+        parts = [head, mat[a: a + len(per_label)].ravel()]
+        if "error_dist" in schema.sources:
+            # variable length: the scalar path
+            parts.append(compute_sequence_features(
+                error_distance_sequence(er), schema.seq_functions))
+        if schema.use_shapley:
+            parts.append(shapley_dims(X, schema, trees[r]))
+        rows.append(np.concatenate(parts))
+    return np.array(rows)
+
+
+def shapley_dims(X: np.ndarray, schema: FingerprintSchema, tree) -> np.ndarray:
+    """The Shapley (path attribution) dims of window ``X``: the mean of
+    ``tree``'s per-row feature contributions, zeros without a tree."""
+    if tree is None:
+        return np.zeros(schema.n_features)
+    return np.mean(tree.feature_contributions_batch(X), axis=0)
 
 
 class Normalizer:

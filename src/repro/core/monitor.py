@@ -8,6 +8,13 @@ record (μ_c, σ_c) unless the incorporation gate rejects it; the
 similarity of ``F_A`` feeds ADWIN and the μ_c − kσ_c breach rule, which
 flag drift.
 
+When ``b`` is a multiple of ``P_C``, ``B`` holds exactly the rows, labels
+and predictions ``A`` held ``b`` observations earlier. The raw ``F_A`` of
+the last ``b / P_C`` periodic steps is therefore kept, and such an
+``F_B`` takes every dimension from it except the Shapley ones, which are
+recomputed with the current tree. The vectors are those a fresh
+computation gives.
+
 Stand-alone, the monitor is classifier-free: labels ``y`` and upstream
 predictions ``l`` (optional) arrive with the observations, and a drift
 starts a fresh concept. It is the state object carried by the Structured
@@ -25,6 +32,7 @@ from repro.core.fingerprint import (
     FingerprintSchema,
     Normalizer,
     compute_fingerprint,
+    shapley_dims,
 )
 from repro.core.meta_features import SEQUENCE_FUNCTIONS
 from repro.core.repository import ConceptRecord, Repository
@@ -101,6 +109,9 @@ class DriftMonitor:
         self._cooldown_until = 0
         self.n_drifts = 0
         self.active = ConceptRecord(0, schema.dim, None, 0)
+        # raw F_A by the observation count it was computed at: b observations
+        # later the same rows, labels and predictions form B
+        self._raw_a: dict[int, np.ndarray] = {}
 
     # ----------------------------------------------------------- observation
     def check(self, x) -> np.ndarray:
@@ -141,10 +152,12 @@ class DriftMonitor:
         X, Y, L = self.window()
         rec = self.active
         F_c = rec.fingerprint
+        b_at = self.i - self.buffer_len
+        self._raw_a = {k: v for k, v in self._raw_a.items() if k >= b_at}
         if self.i >= w + self.buffer_len and (
             self._tick % self.incorporate_every == 0 or F_c.n_incorporated < 2
         ):
-            F_B = self._fingerprint(X[:w], Y[:w], L[:w])
+            F_B = self._fingerprint(X[:w], Y[:w], L[:w], self._raw_a.get(b_at))
             if F_c.n_incorporated >= 2:
                 sim_b = similarity(F_c.mu, F_B, self.weights(F_c, repo))
                 # incorporation gate: a buffer window that looks nothing
@@ -160,7 +173,7 @@ class DriftMonitor:
                 rec.calib_vec = F_B
         if F_c.n_incorporated < 2 or self.i < self._cooldown_until:
             return float("nan"), False
-        F_A = self._fingerprint(X[-w:], Y[-w:], L[-w:])
+        F_A = self._fingerprint(X[-w:], Y[-w:], L[-w:], key=self.i)
         sim_a = similarity(F_c.mu, F_A, self.weights(F_c, repo))
         # ADWIN (paper) plus the consecutive-breach rule: at our scaled
         # segment lengths ADWIN's Hoeffding term needs more samples per
@@ -204,7 +217,23 @@ class DriftMonitor:
         s = self.active.sim
         return s.n >= 5 and sim < s.mean - self.breach_sigmas * max(s.std, self.breach_floor)
 
-    def _fingerprint(self, X: np.ndarray, y: np.ndarray, l: np.ndarray) -> np.ndarray:
-        raw = compute_fingerprint(X, y, l, self.schema, self.active.classifier)
+    def _fingerprint(self, X: np.ndarray, y: np.ndarray, l: np.ndarray,
+                     seen: np.ndarray | None = None, key: int | None = None) -> np.ndarray:
+        """Normalized fingerprint of window (X, y, l) under the active tree.
+
+        ``seen`` is the raw F_A of the same rows from an earlier tick: only
+        its Shapley dims, which follow the tree as it trains, are recomputed.
+        ``key`` keeps the raw vector for that reuse.
+        """
+        tree = self.active.classifier
+        if seen is None:
+            raw = compute_fingerprint(X, y, l, self.schema, tree)
+        elif self.schema.use_shapley:
+            raw = seen.copy()
+            raw[-self.schema.n_features:] = shapley_dims(X, self.schema, tree)
+        else:
+            raw = seen
+        if key is not None:
+            self._raw_a[key] = raw
         self.normalizer.update(raw)
         return self.normalizer.normalize(raw)

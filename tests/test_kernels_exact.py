@@ -7,6 +7,10 @@ must give the same floats (``np.array_equal``, not a tolerance) on every
 window, so fingerprints, similarities and drift decisions do not move.
 The Hoeffding tree's ``predict_batch`` and ``_candidate_gains`` likewise
 replace per-row ``predict`` and per-feature ``_candidate_gain`` calls.
+``compute_fingerprint`` scores a stack of labellings of one window in one
+``compute_feature_matrix`` call, which relies on that call's columns not
+depending on each other, and ``DriftMonitor`` reuses an earlier F_A as
+F_B; both must give the fingerprints the one-at-a-time path gives.
 """
 import numpy as np
 import pytest
@@ -142,6 +146,219 @@ def test_sequence_features_single_decomposition():
         got = mf.compute_sequence_features(x)
         want = np.array([f(x) for f in mf.SEQUENCE_FUNCTIONS.values()])
         assert np.array_equal(got, want)
+
+
+def _error_dist_sequences() -> list[np.ndarray]:
+    """Error-distance sequences as fingerprints see them: lengths 0-3,
+    constant gaps, and the gaps of a tree's errors on RBF and Arabic
+    windows."""
+    from repro.core.fingerprint import error_distance_sequence
+
+    seqs = [np.array([]), np.array([2.0]), np.array([1.0, 4.0]),
+            np.array([3.0, 1.0, 2.0]), np.full(3, 2.0), np.full(12, 1.0), np.full(30, 5.0)]
+    for name in ("RBF", "Arabic"):
+        ds = _stream(name)
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=30, seed=0)
+        for i in range(300):
+            tree.partial_fit(ds.X[i], int(ds.y[i]))
+        for a in range(300, len(ds) - 75, 37):
+            for w in (50, 75):
+                l = tree.predict_batch(ds.X[a:a + w])
+                seqs.append(error_distance_sequence((ds.y[a:a + w] != l).astype(float)))
+    return seqs
+
+
+def test_sequence_features_mutual_info_exact_on_error_distances():
+    """compute_sequence_features takes mutual information from the
+    one-column ``mutual_info_matrix``; it equals f_mutual_info on the
+    variable-length error_dist source."""
+    seqs = _error_dist_sequences()
+    assert len(seqs) > 200 and {len(x) for x in seqs} >= {0, 1, 2, 3}
+    j = list(mf.SEQUENCE_FUNCTIONS).index("mutual_info")
+    nonzero = 0
+    for x in seqs:
+        got = mf.compute_sequence_features(x)
+        want = mf.f_mutual_info(x)
+        assert np.array_equal(got[j], want), x
+        assert np.array_equal(mf.compute_sequence_features(x, ["mutual_info"]), [want])
+        nonzero += want != 0.0
+    assert nonzero > 100
+
+
+# ------------------------------------------------- feature matrix layout
+def _matrix_windows() -> list[np.ndarray]:
+    return [M for M in (_window(i) for i in range(0, N_WINDOWS, 3)) if M.shape[1] >= 2]
+
+
+def test_feature_matrix_independent_of_memory_layout():
+    """A Fortran-ordered or fancy-indexed window gives the same floats as
+    its C-ordered copy (numpy would otherwise sum its columns pairwise)."""
+    for M in _matrix_windows():
+        want = mf.compute_feature_matrix(np.ascontiguousarray(M))
+        assert np.array_equal(mf.compute_feature_matrix(np.asfortranarray(M)), want)
+        cols = np.arange(M.shape[1])[::-1]
+        assert np.array_equal(mf.compute_feature_matrix(M[:, cols]), want[cols])
+
+
+def test_feature_matrix_column_count_invariant():
+    """Each column's row of the result depends on that column only, for
+    C-ordered windows of k >= 2 columns: subsets, reorderings and
+    supersets built with np.column_stack give the same rows."""
+    g = np.random.default_rng(11)
+    for M in _matrix_windows():
+        w, k = M.shape
+        full = mf.compute_feature_matrix(M)
+        S = g.choice(k, size=int(g.integers(2, k + 1)), replace=False)
+        sub = np.column_stack([M[:, c] for c in S])
+        assert np.array_equal(mf.compute_feature_matrix(sub), full[S])
+        extra = [_column(KINDS[g.integers(len(KINDS))], w, g) for _ in range(g.integers(1, 6))]
+        sup = mf.compute_feature_matrix(np.column_stack([M, *extra]))
+        assert np.array_equal(sup[:k], full)
+
+
+# ------------------------------------------------ stacked fingerprints
+def _reference_fingerprint(X, y, l, schema, tree) -> np.ndarray:
+    """One labelling's fingerprint assembled source by source: the sources'
+    columns in schema order through one compute_feature_matrix call, the
+    error_dist source through compute_sequence_features, then Shapley."""
+    from repro.core.fingerprint import error_distance_sequence
+
+    errors = (y != l).astype(float)
+    if schema.source_mode == "error_rate":
+        return np.array([errors.mean()])
+    src = {"y": y.astype(float), "l": l.astype(float), "error": errors}
+    cols = [X[:, int(s[1:])] if s.startswith("x") else src[s]
+            for s in schema.sources if s != "error_dist"]
+    parts = [mf.compute_feature_matrix(np.column_stack(cols), schema.seq_functions).ravel()]
+    if "error_dist" in schema.sources:
+        parts.append(mf.compute_sequence_features(
+            error_distance_sequence(errors), schema.seq_functions))
+    if schema.use_shapley:
+        parts.append(np.zeros(schema.n_features) if tree is None
+                     else tree.feature_contributions_batch(X).mean(axis=0))
+    return np.concatenate(parts)
+
+
+def _labelling_window(name: str, a: int, n_trees: int):
+    """A window of ``name`` at ``a`` and n_trees trees trained on different
+    stretches of the stream, with their labellings of the window."""
+    ds = _stream(name)
+    trees = []
+    for t in range(n_trees):
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=20, seed=t)
+        for i in range(t * 150, t * 150 + 700):
+            tree.partial_fit(ds.X[i], int(ds.y[i]))
+        trees.append(tree)
+    X, y = ds.X[a:a + 50], ds.y[a:a + 50]
+    return X, y, np.stack([t.predict_batch(X) for t in trees]), trees
+
+
+@pytest.mark.parametrize("mode", ["all", "supervised", "unsupervised", "error_rate"])
+@pytest.mark.parametrize("functions", [None, ("mean",), ("mean", "shapley")])
+@pytest.mark.parametrize("name", ["RBF", "Arabic"])
+def test_stacked_labellings_equal_single_calls(mode, functions, name):
+    from repro.core.fingerprint import FingerprintSchema, compute_fingerprint
+
+    kwargs = {} if functions is None else {"functions": functions}
+    for a, n_trees in ((400, 1), (620, 3), (900, 5)):
+        X, y, L, trees = _labelling_window(name, a, n_trees)
+        schema = FingerprintSchema(n_features=X.shape[1], source_mode=mode, **kwargs)
+        stacked = compute_fingerprint(X, y, L, schema, trees)
+        assert stacked.shape == (n_trees, schema.dim)
+        no_tree = compute_fingerprint(X, y, L, schema)
+        if schema.use_shapley and n_trees > 1:  # the trees attribute differently
+            assert len({r[-X.shape[1]:].tobytes() for r in stacked}) > 1
+        for r in range(n_trees):
+            single = compute_fingerprint(X, y, L[r], schema, trees[r])
+            assert np.array_equal(stacked[r], single)
+            assert np.array_equal(single, _reference_fingerprint(X, y, L[r], schema, trees[r]))
+            assert np.array_equal(no_tree[r], compute_fingerprint(X, y, L[r], schema, None))
+
+
+def _check_normalizer_inputs(monkeypatch, feed) -> tuple[int, int]:
+    """Run ``feed`` and check every raw vector a DriftMonitor passes to
+    Normalizer.update against a from-scratch compute_fingerprint of that
+    window under the then-active tree; returns (updates, fingerprint
+    calls the monitor made)."""
+    from repro.core import fingerprint as fpm
+    from repro.core import monitor as monm
+
+    pending, counts = [], {"update": 0, "compute": 0}
+    fingerprint, update = monm.DriftMonitor._fingerprint, fpm.Normalizer.update
+
+    def recording_fingerprint(self, X, y, l, *args, **kwargs):
+        pending.append((self, X.copy(), y.copy(), l.copy()))
+        return fingerprint(self, X, y, l, *args, **kwargs)
+
+    def checking_update(self, v):
+        mon, X, y, l = pending.pop()
+        want = fpm.compute_fingerprint(X, y, l, mon.schema, mon.active.classifier)
+        assert np.array_equal(v, want)
+        counts["update"] += 1
+        return update(self, v)
+
+    def counting_compute(*args, **kwargs):
+        counts["compute"] += 1
+        return fpm.compute_fingerprint(*args, **kwargs)
+
+    monkeypatch.setattr(monm.DriftMonitor, "_fingerprint", recording_fingerprint)
+    monkeypatch.setattr(fpm.Normalizer, "update", checking_update)
+    monkeypatch.setattr(monm, "compute_fingerprint", counting_compute)
+    feed()
+    assert not pending
+    return counts["update"], counts["compute"]
+
+
+def test_ficsum_reused_buffer_fingerprints_exact(monkeypatch):
+    """FiCSUM on (RBF, seed 1): a reused F_B (cached non-Shapley dims,
+    Shapley from the current tree) equals computing it from scratch."""
+    from repro.runner import make_method
+
+    ds = build_dataset("RBF", 1, length_scale=0.5)
+    model = make_method("FiCSUM", ds.n_features, ds.n_classes, 1)
+
+    def feed():
+        for i in range(len(ds)):
+            model.process(ds.X[i], int(ds.y[i]))
+
+    updates, computed = _check_normalizer_inputs(monkeypatch, feed)
+    assert model.schema.use_shapley and model.n_drifts > 0
+    assert updates - computed > 100  # reused F_B vectors
+
+
+def test_monitor_reused_buffer_fingerprints_exact(monkeypatch):
+    """Stand-alone DriftMonitor on Synth_DAF with upstream predictions
+    wrong on every 7th row (as in the golden trace)."""
+    from repro.core.monitor import DriftMonitor
+
+    ds = build_dataset("Synth_DAF", 1, length_scale=0.5)
+    mon = DriftMonitor(ds.n_features)
+
+    def feed():
+        for i in range(len(ds)):
+            y = int(ds.y[i])
+            mon.add(ds.X[i], y, (y + 1) % ds.n_classes if i % 7 == 0 else y)
+
+    updates, computed = _check_normalizer_inputs(monkeypatch, feed)
+    assert mon.n_drifts > 0
+    assert updates - computed > 100
+
+
+def test_monitor_reuse_cache_bounded_and_unused_off_period():
+    """The cache holds at most b/P + 1 raw vectors; when b is not a
+    multiple of P no F_B is ever reused, and outputs are unchanged."""
+    from repro.core import monitor as monm
+
+    ds = build_dataset("Synth_D", 1, length_scale=0.5)
+    for buffer_len in (12, 10):
+        mon = monm.DriftMonitor(ds.n_features, buffer_len=buffer_len)
+        hits = 0
+        for i in range(len(ds)):
+            b_at = mon.i + 1 - mon.buffer_len
+            hits += b_at in mon._raw_a and (mon.i + 1) % mon.period == 0
+            mon.add(ds.X[i], int(ds.y[i]))
+            assert len(mon._raw_a) <= buffer_len // mon.period + 1
+        assert (hits > 0) == (buffer_len % mon.period == 0)
 
 
 # ----------------------------------------------------------------- binning
