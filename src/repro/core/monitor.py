@@ -112,6 +112,8 @@ class DriftMonitor:
         # raw F_A by the observation count it was computed at: b observations
         # later the same rows, labels and predictions form B
         self._raw_a: dict[int, np.ndarray] = {}
+        # sequence number of the last observation the streaming operator fed
+        self.last_seq: int | None = None
 
     # ----------------------------------------------------------- observation
     def check(self, x) -> np.ndarray:
@@ -237,3 +239,12 @@ class DriftMonitor:
             self._raw_a[key] = raw
         self.normalizer.update(raw)
         return self.normalizer.normalize(raw)
+
+    def __setstate__(self, state: dict) -> None:
+        missing = {"_raw_a", "last_seq"} - state.keys()
+        if missing:
+            raise ValueError(
+                f"DriftMonitor state lacks {sorted(missing)}: it was saved by an "
+                "older version; restart the stream from fresh state"
+            )
+        self.__dict__.update(state)

@@ -37,12 +37,16 @@ log = logging.getLogger(__name__)
 def make_drift_fn(n_features: int, **monitor_kwargs):
     """Build the per-key stateful function for ``applyInPandasWithState``.
 
-    The returned closure deserializes the per-key DriftMonitor, replays
-    the batch's rows in ``seq`` order (ignoring already-seen sequence
-    numbers on replay), and stores the updated monitor back. A row the
-    monitor rejects (wrong feature count, NaN or inf) or with a null label
-    is dropped without touching the monitor, and the batch's drop count
-    is logged.
+    The returned closure deserializes the per-key DriftMonitor, feeds
+    the batch's rows in ``seq`` order, and stores the updated monitor
+    back. Sequence numbers need only increase: they may start anywhere
+    and have gaps. A row whose ``seq`` is not above the last one the
+    monitor accepted (``DriftMonitor.last_seq``) is a re-delivery and is
+    skipped, so a replayed batch emits nothing twice. A row the monitor
+    rejects (wrong feature count, NaN or inf) or with a null label is
+    dropped without touching the monitor, and the batch's drop count is
+    logged. A state blob saved by an older ``DriftMonitor`` fails the
+    batch with ``ValueError`` when it is loaded.
     """
 
     def fn(
@@ -60,8 +64,8 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
             pdf = pdf.sort_values("seq")
             for _, row in pdf.iterrows():
                 seq = int(row["seq"])
-                if seq < monitor.i:  # replay/out-of-order guard
-                    continue
+                if monitor.last_seq is not None and seq <= monitor.last_seq:
+                    continue  # already fed: a re-delivered row
                 try:
                     x = monitor.check(list(row["features"]))
                     y, l = int(row["y"]), int(row["l"])  # a null label arrives as NaN
@@ -69,6 +73,7 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
                     rejected += 1
                     continue
                 sim, drift = monitor.add(x, y, l)
+                monitor.last_seq = seq
                 out_rows.append((key[0], seq, sim, drift))
         if rejected:
             log.warning("stream %s: dropped %d malformed rows in this batch",

@@ -173,3 +173,89 @@ def test_malformed_rows_dropped_not_failing_batch(caplog):
     stored = pickle.loads(state.get[0])
     assert stored.i == n - len(bad) == ref.i
     assert stored.n_drifts == ref.n_drifts
+
+
+def _feed(fn, batches, blob=None):
+    """Call the operator once per micro-batch of one key, carrying the
+    stored state across calls as Spark does; returns each call's emitted
+    (seq, similarity, drift) rows and the final state blob."""
+    out = []
+    for pdf in batches:
+        state = _group_state(blob)
+        frames = list(fn(("s0",), iter([pdf]), state))
+        rows = pd.concat(frames) if frames else pd.DataFrame(columns=["seq"])
+        out.append(list(zip(rows.seq, rows.get("similarity", []), rows.get("drift", []))))
+        blob = state.get[0]
+    return out, blob
+
+
+def _reference(ds, n):
+    from repro.core.monitor import DriftMonitor
+
+    ref = DriftMonitor(ds.n_features)
+    return [ref.add(ds.X[i], int(ds.y[i]), int(ds.y[i])) for i in range(n)]
+
+
+def _same_rows(rows, seqs, want):
+    assert [s for s, _, _ in rows] == list(seqs)
+    np.testing.assert_array_equal([m for _, m, _ in rows], [m for m, _ in want])
+    assert [d for _, _, d in rows] == [d for _, d in want]
+
+
+def test_sparse_sequence_numbers_not_from_zero():
+    """Sequence numbers that start far from 0 and leave gaps (an event
+    counter shared with other keys) feed every row exactly once."""
+    import pickle
+
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    n = 240
+    pdf = _obs_pdf(ds, n)
+    pdf["seq"] = 5000 + 4 * np.arange(n, dtype=np.int64) + 1
+    batches = [pdf.iloc[a:a + 30] for a in range(0, n, 30)]
+    out, blob = _feed(make_drift_fn(ds.n_features), batches)
+    _same_rows([r for rows in out for r in rows], pdf.seq, _reference(ds, n))
+    stored = pickle.loads(blob)
+    assert stored.i == n and stored.last_seq == int(pdf.seq.iloc[-1])
+
+
+def test_replayed_batches_emit_nothing_twice():
+    """A re-delivered batch, whole or overlapping the last one, emits only
+    rows not fed before, and the outputs stay those of one monitor fed
+    each row once."""
+    import pickle
+
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    n = 270
+    pdf = _obs_pdf(ds, n)
+    pdf["seq"] = 100 + 2 * np.arange(n, dtype=np.int64)
+    b = [pdf.iloc[a:a + 30] for a in range(0, n, 30)]
+    overlap = pdf.iloc[150:210].sample(frac=1.0, random_state=0)  # b[5] again plus b[6], shuffled
+    batches = [b[0], b[1], b[1], b[0], b[2], b[3], b[4], b[5], overlap, b[6], b[7], b[8], b[8]]
+    out, blob = _feed(make_drift_fn(ds.n_features), batches)
+    assert out[2] == out[3] == out[9] == out[12] == []
+    assert [s for s, _, _ in out[8]] == list(b[6].seq)
+    _same_rows([r for rows in out for r in rows], pdf.seq, _reference(ds, n))
+    assert pickle.loads(blob).i == n
+
+
+def test_stale_state_blob_is_rejected():
+    """State saved by a monitor without the replay and reuse fields fails
+    the batch with a ValueError naming them, not an AttributeError later."""
+    import pickle
+
+    from repro.core.monitor import DriftMonitor
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    old = DriftMonitor(ds.n_features)
+    for i in range(60):
+        old.add(ds.X[i], int(ds.y[i]))
+    del old.last_seq, old._raw_a
+    blob = pickle.dumps(old)
+    fn = make_drift_fn(ds.n_features)
+    with pytest.raises(ValueError, match="last_seq"):
+        list(fn(("s0",), iter([_obs_pdf(ds, 90).iloc[60:]]), _group_state(blob)))
