@@ -112,7 +112,7 @@ class DriftMonitor:
         # raw F_A by the observation count it was computed at: b observations
         # later the same rows, labels and predictions form B
         self._raw_a: dict[int, np.ndarray] = {}
-        # sequence number of the last observation the streaming operator fed
+        # sequence number of the last row the streaming operator handled
         self.last_seq: int | None = None
 
     # ----------------------------------------------------------- observation
@@ -241,6 +241,7 @@ class DriftMonitor:
         return self.normalizer.normalize(raw)
 
     def __setstate__(self, state: dict) -> None:
+        """Refuse state pickled before the F_A cache and ``last_seq``."""
         missing = {"_raw_a", "last_seq"} - state.keys()
         if missing:
             raise ValueError(

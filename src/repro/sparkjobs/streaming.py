@@ -41,11 +41,11 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
     the batch's rows in ``seq`` order, and stores the updated monitor
     back. Sequence numbers need only increase: they may start anywhere
     and have gaps. A row whose ``seq`` is not above the last one the
-    monitor accepted (``DriftMonitor.last_seq``) is a re-delivery and is
+    operator handled (``DriftMonitor.last_seq``) is a re-delivery and is
     skipped, so a replayed batch emits nothing twice. A row the monitor
     rejects (wrong feature count, NaN or inf) or with a null label is
-    dropped without touching the monitor, and the batch's drop count is
-    logged. A state blob saved by an older ``DriftMonitor`` fails the
+    dropped without touching the monitor's windows, and the batch's drop
+    count is logged. A state blob saved by an older ``DriftMonitor`` fails the
     batch with ``ValueError`` when it is loaded.
     """
 
@@ -65,7 +65,8 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
             for _, row in pdf.iterrows():
                 seq = int(row["seq"])
                 if monitor.last_seq is not None and seq <= monitor.last_seq:
-                    continue  # already fed: a re-delivered row
+                    continue  # already handled: a re-delivered row
+                monitor.last_seq = seq
                 try:
                     x = monitor.check(list(row["features"]))
                     y, l = int(row["y"]), int(row["l"])  # a null label arrives as NaN
@@ -73,7 +74,6 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
                     rejected += 1
                     continue
                 sim, drift = monitor.add(x, y, l)
-                monitor.last_seq = seq
                 out_rows.append((key[0], seq, sim, drift))
         if rejected:
             log.warning("stream %s: dropped %d malformed rows in this batch",

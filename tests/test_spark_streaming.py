@@ -242,6 +242,25 @@ def test_replayed_batches_emit_nothing_twice():
     assert pickle.loads(blob).i == n
 
 
+def test_replayed_malformed_row_not_dropped_twice(caplog):
+    """A malformed row is handled once: re-delivering its batch neither
+    feeds nor counts it again."""
+    import logging
+
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    pdf = _obs_pdf(ds, 60)
+    feats = [list(f) for f in pdf.features]
+    feats[40][1] = float("nan")
+    pdf["features"] = feats
+    batches = [pdf.iloc[:30], pdf.iloc[30:], pdf.iloc[30:]]
+    with caplog.at_level(logging.WARNING, logger="repro.sparkjobs.streaming"):
+        out, _ = _feed(make_drift_fn(ds.n_features), batches)
+    assert [len(rows) for rows in out] == [30, 29, 0]
+    assert caplog.text.count("dropped 1 malformed rows") == 1
+
+
 def test_stale_state_blob_is_rejected():
     """State saved by a monitor without the replay and reuse fields fails
     the batch with a ValueError naming them, not an AttributeError later."""
