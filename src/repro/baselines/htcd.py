@@ -11,16 +11,17 @@ import numpy as np
 from repro.classifiers.hoeffding_tree import HoeffdingTree
 from repro.detectors.adwin import ADWIN
 
+_DELTA = 0.002       # ADWIN's δ over the 0/1 errors
+_GRACE_PERIOD = 30   # the tree's observations between split attempts
+
 
 class HTCD:
-    def __init__(self, n_features: int, n_classes: int, *, delta: float = 0.002,
-                 grace_period: int = 30, seed: int = 0):
+    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.grace_period = grace_period
         self.seed = seed
-        self.tree = HoeffdingTree(n_features, n_classes, grace_period=grace_period, seed=seed)
-        self.detector = ADWIN(delta=delta)
+        self.tree = HoeffdingTree(n_features, n_classes, grace_period=_GRACE_PERIOD, seed=seed)
+        self.detector = ADWIN(delta=_DELTA)
         self.model_id = 0
         self.n_drifts = 0
 
@@ -32,7 +33,7 @@ class HTCD:
             self.model_id += 1
             self.tree = HoeffdingTree(
                 self.n_features, self.n_classes,
-                grace_period=self.grace_period, seed=self.seed + self.model_id,
+                grace_period=_GRACE_PERIOD, seed=self.seed + self.model_id,
             )
             self.detector.reset()
         return pred, self.model_id

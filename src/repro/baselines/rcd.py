@@ -50,12 +50,10 @@ class _Concept:
 
 
 class RCD:
-    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0,
-                 buffer_size: int = _BUFFER):
+    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0):
         self.n_features = n_features
         self.n_classes = n_classes
         self.seed = seed
-        self.buffer_size = buffer_size
         self.detector = EDDM()
         self._recent: list[np.ndarray] = []
         self._next_id = 1
@@ -71,7 +69,7 @@ class RCD:
         pred = self.active.classifier.predict(x)
         self.active.classifier.partial_fit(x, y)
         self._recent.append(x)
-        if len(self._recent) > self.buffer_size:
+        if len(self._recent) > _BUFFER:
             self._recent.pop(0)
         signal = self.detector.add(int(pred != y))
         if signal == "drift" and len(self._recent) >= 30:

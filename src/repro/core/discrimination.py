@@ -23,7 +23,10 @@ from repro.core.fingerprint import (
     compute_fingerprint,
 )
 from repro.core.similarity import dynamic_weights, similarity
-from repro.streams.datasets import StreamDataset, build_dataset
+from repro.streams.datasets import StreamDataset
+
+# observations of its first occurrence each per-concept classifier trains on
+_TRAIN_CAP = 400
 
 
 def _segments(concept_ids: np.ndarray) -> list[tuple[int, int, int]]:
@@ -35,32 +38,15 @@ def _segments(concept_ids: np.ndarray) -> list[tuple[int, int, int]]:
     return out
 
 
-def oracle_discrimination(
-    dataset: str,
-    seed: int = 0,
-    *,
-    source_mode: str = "all",
-    functions: tuple[str, ...] | None = None,
-    window_size: int = 50,
-    length_scale: float = 1.0,
-    train_cap: int = 400,
-) -> float:
-    """Mean z-score separation of the correct concept fingerprint."""
-    ds = build_dataset(dataset, seed, length_scale=length_scale)
-    return oracle_discrimination_ds(
-        ds, source_mode=source_mode, functions=functions,
-        window_size=window_size, train_cap=train_cap,
-    )
-
-
 def oracle_discrimination_ds(
     ds: StreamDataset,
     *,
     source_mode: str = "all",
     functions: tuple[str, ...] | None = None,
     window_size: int = 50,
-    train_cap: int = 400,
 ) -> float:
+    """Mean z-score separation of the correct concept fingerprint on
+    ``ds``, over windows of ``window_size`` observations."""
     kwargs = {"n_features": ds.n_features, "source_mode": source_mode}
     if functions is not None:
         kwargs["functions"] = tuple(functions)
@@ -76,7 +62,7 @@ def oracle_discrimination_ds(
         if c in trees:
             continue
         t = HoeffdingTree(ds.n_features, ds.n_classes, seed=c)
-        for i in range(start, min(end, start + train_cap)):
+        for i in range(start, min(end, start + _TRAIN_CAP)):
             t.partial_fit(ds.X[i], int(ds.y[i]))
         trees[c] = t
         first_seg[c] = (start, end)

@@ -21,6 +21,7 @@ run (documented simplification).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,25 +34,21 @@ from repro.core.similarity import similarity
 
 @dataclass
 class FicsumConfig:
-    """Hyper-parameters (paper Section VI-2 defaults, scaled)."""
+    """The fingerprint a FiCSUM variant uses (Tables III–V).
 
-    window_size: int = 50          # w (paper: 75)
-    buffer_ratio: float = 0.25     # b = buffer_ratio * w (paper: 0.25)
-    fingerprint_period: int = 3    # P_C (paper: 3)
-    incorporate_every: int = 3     # F_B incorporation every k-th periodic step
-    repo_period: int = 100         # P_S (paper: 25; raised for runtime)
+    Every other setting is a constant: the detection loop's are
+    :class:`DriftMonitor`'s, the tree's are ``HoeffdingTree``'s defaults
+    (grace period 30, depth 12), and the repository's and model
+    selection's are the class constants below.
+    """
+
     source_mode: str = "all"       # all | supervised | unsupervised | error_rate
     functions: tuple[str, ...] | None = None  # None → all 13
-    adwin_delta: float = 0.02
-    min_sim_history: int = 8       # sim records required before drift can fire
-    sigma_floor: float = 0.05      # floor on σ_s in the μ±2σ acceptance test
-    accept_floor: float = 0.45     # absolute minimum similarity for recurrence
-    grace_period: int = 30
-    tree_depth: int = 12
 
-    @property
-    def buffer_len(self) -> int:
-        return max(1, int(self.window_size * self.buffer_ratio))
+    window_size: ClassVar[int] = DriftMonitor.window_size  # w, owned by the monitor
+    repo_period: ClassVar[int] = 100    # P_S (paper: 25; raised for runtime)
+    sigma_floor: ClassVar[float] = 0.05   # floor on σ_s in the μ±2σ acceptance test
+    accept_floor: ClassVar[float] = 0.45  # absolute minimum similarity for recurrence
 
 
 @dataclass
@@ -74,20 +71,11 @@ class FiCSUM:
         if cfg.functions is not None:
             kwargs["functions"] = tuple(cfg.functions)
         self.schema = FingerprintSchema(source_mode=cfg.source_mode, **kwargs)
-        self.monitor = DriftMonitor.with_schema(
-            self.schema,
-            window_size=cfg.window_size,
-            buffer_len=cfg.buffer_len,
-            period=cfg.fingerprint_period,
-            incorporate_every=cfg.incorporate_every,
-            adwin_delta=cfg.adwin_delta,
-            min_sim_history=cfg.min_sim_history,
-            **FICSUM_BREACH_RULE,
-        )
+        self.monitor = DriftMonitor.with_schema(self.schema, **FICSUM_BREACH_RULE)
         self.repo = Repository(self.schema.dim)
         self._recheck_at = -1
         self._new_since_drift: ConceptRecord | None = None
-        self._activate(self.repo.create(self._new_classifier(), 0))
+        self._activate(self.repo.create(self._new_classifier()))
 
     @property
     def active(self) -> ConceptRecord:
@@ -98,13 +86,7 @@ class FiCSUM:
         return self.monitor.n_drifts
 
     def _new_classifier(self) -> HoeffdingTree:
-        return HoeffdingTree(
-            self.n_features,
-            self.n_classes,
-            grace_period=self.cfg.grace_period,
-            max_depth=self.cfg.tree_depth,
-            seed=self.seed,
-        )
+        return HoeffdingTree(self.n_features, self.n_classes, seed=self.seed)
 
     # ------------------------------------------------------------------ step
     def process(self, x: np.ndarray, y: int) -> StepResult:
@@ -128,7 +110,7 @@ class FiCSUM:
             self._second_selection()
         if (
             mon.i % self.cfg.repo_period == 0
-            and mon.i >= self.cfg.window_size
+            and mon.i >= mon.window_size
             and len(self.repo) > 1
         ):
             self._update_sc_stats()
@@ -137,7 +119,7 @@ class FiCSUM:
     def _relabel_fingerprints(self, recs: list[ConceptRecord]) -> np.ndarray:
         """F_AS per record, (len(recs), dim): window ``A`` relabelled by each
         record's classifier, all labellings fingerprinted in one call."""
-        w = self.cfg.window_size
+        w = self.monitor.window_size
         X, y, _ = self.monitor.window()
         X, y = X[-w:], y[-w:]
         trees = [rec.classifier for rec in recs]
@@ -176,10 +158,10 @@ class FiCSUM:
             self._activate(accepted[0][1])
             self._new_since_drift = None
         else:
-            rec = self.repo.create(self._new_classifier(), self.monitor.i)
+            rec = self.repo.create(self._new_classifier())
             self._activate(rec)
             self._new_since_drift = rec
-        self._recheck_at = self.monitor.i + self.cfg.window_size
+        self._recheck_at = self.monitor.i + self.monitor.window_size
 
     def _second_selection(self) -> None:
         """Re-run selection w obs after a drift (window now fully post-drift)."""

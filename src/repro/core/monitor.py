@@ -48,58 +48,57 @@ FICSUM_BREACH_RULE = {"breach_sigmas": 3.0, "breach_floor": 0.02, "breach_count"
 
 
 class DriftMonitor:
-    """Sequential drift detection over (x, y, l) observations."""
+    """Sequential drift detection over (x, y, l) observations.
 
-    def __init__(self, n_features: int, *, supervised: bool = True, **settings):
+    Algorithm 1's settings are the class constants below, one set for
+    FiCSUM and the streaming operator alike (the paper's Section VI-2
+    values in the comments); an instance sets only the breach rule.
+    """
+
+    window_size = 50        # w, the length of A and B (paper: 75)
+    buffer_len = 12         # b, how much older B is than A (paper: 0.25·w)
+    period = 3              # P_C, observations between periodic steps (paper: 3)
+    incorporate_every = 3   # F_B is incorporated on every 3rd periodic step
+    adwin_delta = 0.02      # ADWIN's δ over the similarity of F_A
+    min_sim_history = 8     # similarity records before drift can fire
+
+    def __init__(self, n_features: int, *, supervised: bool = True, **breach):
         """Classifier-free monitor over the sequence functions of the
         feature sources (plus labels, predictions and errors when
-        ``supervised``); ``settings`` are the keywords of :meth:`_setup`."""
+        ``supervised``); ``breach`` are the keywords of :meth:`_setup`."""
         schema = FingerprintSchema(
             n_features=n_features,
             source_mode="all" if supervised else "unsupervised",
             functions=tuple(SEQUENCE_FUNCTIONS),  # no shapley: no tree here
         )
-        self._setup(schema, **settings)
+        self._setup(schema, **breach)
 
     @classmethod
-    def with_schema(cls, schema: FingerprintSchema, **settings) -> DriftMonitor:
+    def with_schema(cls, schema: FingerprintSchema, **breach) -> DriftMonitor:
         """A monitor fingerprinting windows under ``schema`` (FiCSUM's)."""
         mon = cls.__new__(cls)
-        mon._setup(schema, **settings)
+        mon._setup(schema, **breach)
         return mon
 
     def _setup(
         self,
         schema: FingerprintSchema,
         *,
-        window_size: int = 50,
-        buffer_len: int = 12,
-        period: int = 3,
-        incorporate_every: int = 3,
-        adwin_delta: float = 0.02,
-        min_sim_history: int = 8,
         breach_sigmas: float = 3.5,
         breach_floor: float = 0.03,
         breach_count: int = 4,
     ) -> None:
-        """Windows of ``window_size`` observations, the buffer window
-        ``buffer_len`` older; a periodic step every ``period`` observations,
-        incorporating ``F_B`` on every ``incorporate_every``-th; drift only
-        after ``min_sim_history`` similarity records."""
+        """Drift also fires after ``breach_count`` similarities in a row
+        below μ_c − ``breach_sigmas``·max(σ_c, ``breach_floor``)."""
         self.schema = schema
-        self.window_size = window_size
-        self.buffer_len = buffer_len
-        self.period = period
-        self.incorporate_every = incorporate_every
-        self.min_sim_history = min_sim_history
         self.breach_sigmas = breach_sigmas
         self.breach_floor = breach_floor
         self.breach_count = breach_count
         self.normalizer = Normalizer(schema.dim)
-        self.detector = ADWIN(delta=adwin_delta)
+        self.detector = ADWIN(delta=self.adwin_delta)
         # ring buffer of the last w+b observations; row i % (w+b) is the
         # oldest once full, and the next to be overwritten
-        n = window_size + buffer_len
+        n = self.window_size + self.buffer_len
         self.X = np.zeros((n, schema.n_features))
         self.y = np.zeros(n, dtype=np.int64)
         self.l = np.zeros(n, dtype=np.int64)
@@ -108,7 +107,7 @@ class DriftMonitor:
         self._breaches = 0
         self._cooldown_until = 0
         self.n_drifts = 0
-        self.active = ConceptRecord(0, schema.dim, None, 0)
+        self.active = ConceptRecord(0, schema.dim, None)
         # raw F_A by the observation count it was computed at: b observations
         # later the same rows, labels and predictions form B
         self._raw_a: dict[int, np.ndarray] = {}
@@ -134,7 +133,7 @@ class DriftMonitor:
         """
         sim, drift = self.step(self.check(x), int(y), int(l if l is not None else y))
         if drift:
-            self.activate(ConceptRecord(self.n_drifts, self.schema.dim, None, self.i))
+            self.activate(ConceptRecord(self.n_drifts, self.schema.dim, None))
         return sim, drift
 
     def step(self, x: np.ndarray, y: int, l: int,

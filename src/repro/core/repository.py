@@ -48,7 +48,7 @@ class _Welford:
 class ConceptRecord:
     """One stored concept: fingerprint, classifier and similarity stats."""
 
-    def __init__(self, concept_id: int, dim: int, classifier, created_at: int):
+    def __init__(self, concept_id: int, dim: int, classifier):
         self.id = concept_id
         self.fingerprint = ConceptFingerprint(dim)
         self.classifier = classifier
@@ -58,7 +58,6 @@ class ConceptRecord:
         #: last incorporated fingerprint — re-calibrates stale similarity
         #: records under the current weighting regime (paper Section IV)
         self.calib_vec: np.ndarray | None = None
-        self.created_at = created_at
 
     @property
     def mature(self) -> bool:
@@ -80,8 +79,8 @@ class Repository:
     def __iter__(self):
         return iter(self.records)
 
-    def create(self, classifier, created_at: int) -> ConceptRecord:
-        rec = ConceptRecord(self._next_id, self.dim, classifier, created_at)
+    def create(self, classifier) -> ConceptRecord:
+        rec = ConceptRecord(self._next_id, self.dim, classifier)
         rec.sc_stats = ConceptFingerprint(self.dim)
         self._next_id += 1
         self.records.append(rec)

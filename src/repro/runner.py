@@ -31,17 +31,15 @@ _SOURCE_MODES = {"FiCSUM": "all", "S-MI": "supervised", "U-MI": "unsupervised",
                  "ER": "error_rate"}
 
 
-def make_method(name: str, n_features: int, n_classes: int, seed: int,
-                ficsum_overrides: dict | None = None):
+def make_method(name: str, n_features: int, n_classes: int, seed: int):
     """Instantiate a method by registry name."""
-    overrides = dict(ficsum_overrides or {})
     if name in _SOURCE_MODES:
-        cfg = FicsumConfig(source_mode=_SOURCE_MODES[name], **overrides)
+        cfg = FicsumConfig(source_mode=_SOURCE_MODES[name])
         return FiCSUM(n_features, n_classes, cfg, seed=seed)
     if name.startswith("mi:"):
         group = name[3:]
         funcs = tuple(FUNCTION_GROUPS[group])
-        cfg = FicsumConfig(source_mode="all", functions=funcs, **overrides)
+        cfg = FicsumConfig(source_mode="all", functions=funcs)
         return FiCSUM(n_features, n_classes, cfg, seed=seed)
     if name == "HTCD":
         return HTCD(n_features, n_classes, seed=seed)
@@ -55,11 +53,10 @@ def make_method(name: str, n_features: int, n_classes: int, seed: int,
 
 
 def run_stream(dataset: str, method: str, seed: int, *,
-               length_scale: float = 1.0,
-               ficsum_overrides: dict | None = None) -> dict:
+               length_scale: float = 1.0) -> dict:
     """Run one prequential stream and return its metrics row."""
     ds = build_dataset(dataset, seed, length_scale=length_scale)
-    model = make_method(method, ds.n_features, ds.n_classes, seed, ficsum_overrides)
+    model = make_method(method, ds.n_features, ds.n_classes, seed)
     preds = np.empty(len(ds), dtype=int)
     mids = np.empty(len(ds), dtype=int)
     t0 = time.perf_counter()

@@ -34,7 +34,7 @@ STATE_SCHEMA = "blob binary"
 log = logging.getLogger(__name__)
 
 
-def make_drift_fn(n_features: int, **monitor_kwargs):
+def make_drift_fn(n_features: int):
     """Build the per-key stateful function for ``applyInPandasWithState``.
 
     The returned closure deserializes the per-key DriftMonitor, feeds
@@ -57,7 +57,7 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
         if state.exists:
             monitor = pickle.loads(state.get[0])
         else:
-            monitor = DriftMonitor(n_features, **monitor_kwargs)
+            monitor = DriftMonitor(n_features)
         out_rows = []
         rejected = 0
         for pdf in pdfs:
@@ -87,14 +87,12 @@ def make_drift_fn(n_features: int, **monitor_kwargs):
     return fn
 
 
-def detect_drift_stream(
-    obs_stream: DataFrame, n_features: int, **monitor_kwargs
-) -> DataFrame:
+def detect_drift_stream(obs_stream: DataFrame, n_features: int) -> DataFrame:
     """Wire the stateful drift operator onto a streaming DataFrame with
     columns (stream_id string, seq long, features array<double>, y long,
     l long)."""
     return obs_stream.groupBy("stream_id").applyInPandasWithState(
-        make_drift_fn(n_features, **monitor_kwargs),
+        make_drift_fn(n_features),
         outputStructType=OUTPUT_SCHEMA,
         stateStructType=STATE_SCHEMA,
         outputMode="append",

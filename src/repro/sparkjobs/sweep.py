@@ -8,7 +8,6 @@ rows come back as a DataFrame for Spark SQL aggregation.
 """
 from __future__ import annotations
 
-import json
 import traceback
 
 import pandas as pd
@@ -51,11 +50,9 @@ def _run_one(pdf: pd.DataFrame) -> pd.DataFrame:
         "runtime_s": 0.0, "n_models": 0, "n_drifts": 0, "error": None,
     }
     try:
-        overrides = json.loads(row["overrides"]) if row["overrides"] else None
         res = run_stream(
             row["dataset"], row["method"], int(row["seed"]),
             length_scale=float(row["length_scale"]),
-            ficsum_overrides=overrides,
         )
         for k in ("kappa", "accuracy", "c_f1", "discrimination", "runtime_s",
                   "n_models", "n_drifts"):
@@ -71,8 +68,9 @@ def run_sweep(
     *,
     length_scale: float = 1.0,
 ) -> DataFrame:
-    """Fan out ``configs`` (dicts with dataset/method/seed and optional
-    ficsum ``overrides``) across the cluster; returns the metrics DataFrame.
+    """Fan out ``configs`` (dicts with dataset/method/seed), each stream
+    built at ``length_scale``, across the cluster; returns the metrics
+    DataFrame.
     """
     rows = []
     for i, c in enumerate(configs):
@@ -82,8 +80,7 @@ def run_sweep(
                 "dataset": c["dataset"],
                 "method": c["method"],
                 "seed": int(c.get("seed", 0)),
-                "length_scale": float(c.get("length_scale", length_scale)),
-                "overrides": json.dumps(c["overrides"]) if c.get("overrides") else "",
+                "length_scale": float(length_scale),
             }
         )
     cfg_df = spark.createDataFrame(pd.DataFrame(rows)).repartition(

@@ -1,5 +1,6 @@
 """Integration tests for the FiCSUM main loop, repository, monitor and
 baseline frameworks."""
+import dataclasses
 import pickle
 
 import numpy as np
@@ -44,20 +45,20 @@ class TestWelford:
 class TestRepository:
     def test_create_assigns_increasing_ids(self):
         r = Repository(4)
-        a, b = r.create(None, 0), r.create(None, 5)
+        a, b = r.create(None), r.create(None)
         assert (a.id, b.id) == (0, 1)
         assert len(r) == 2
 
     def test_remove(self):
         r = Repository(4)
-        a = r.create(None, 0)
+        a = r.create(None)
         r.remove(a)
         assert len(r) == 0
 
     def test_stat_stacks_requires_trained(self):
         r = Repository(3)
-        r.create(None, 0)
-        r.create(None, 0)
+        r.create(None)
+        r.create(None)
         assert r.stat_stacks() is None
         for rec in r:
             rec.fingerprint.incorporate(np.random.default_rng(rec.id).random(3))
@@ -67,7 +68,7 @@ class TestRepository:
 
     def test_mature_needs_history(self):
         r = Repository(2)
-        rec = r.create(None, 0)
+        rec = r.create(None)
         assert not rec.mature
         for _ in range(3):
             rec.sim.update(0.9)
@@ -111,16 +112,30 @@ def test_ficsum_stationary_stream_stays_single_concept():
     assert any(s["active"] for s in summary)
 
 
-def test_ficsum_config_buffer_len():
-    assert FicsumConfig(window_size=80, buffer_ratio=0.25).buffer_len == 20
-    assert FicsumConfig(window_size=4, buffer_ratio=0.01).buffer_len == 1
-
-
 def test_ficsum_schema_respects_overrides():
     m = FiCSUM(5, 2, FicsumConfig(source_mode="supervised"))
     assert m.schema.source_mode == "supervised"
     m2 = FiCSUM(5, 2, FicsumConfig(functions=("mean",)))
     assert m2.schema.dim == 9  # (5+4) sources x mean
+
+
+def test_algorithm1_settings_have_one_owner():
+    """A FiCSUM variant picks only its fingerprint, a DriftMonitor is set
+    only by its breach rule, and FiCSUM's monitor runs the stand-alone
+    monitor's w, b, P_C, incorporation cadence, ADWIN δ and warm-up."""
+    assert [f.name for f in dataclasses.fields(FicsumConfig)] == ["source_mode", "functions"]
+    for kw in ("window_size", "buffer_len", "period", "incorporate_every",
+               "adwin_delta", "min_sim_history"):
+        with pytest.raises(TypeError):
+            DriftMonitor(3, **{kw: 1})
+
+    def settings(mon):
+        return (mon.window_size, mon.buffer_len, mon.period, mon.incorporate_every,
+                mon.detector.delta, mon.min_sim_history, len(mon.y))
+
+    model = FiCSUM(3, 2)
+    assert settings(model.monitor) == settings(DriftMonitor(3)) == (50, 12, 3, 3, 0.02, 8, 62)
+    assert model.cfg.window_size == model.monitor.window_size
 
 
 def test_ficsum_model_ids_recorded_per_observation():

@@ -344,14 +344,15 @@ def test_monitor_reused_buffer_fingerprints_exact(monkeypatch):
     assert updates - computed > 100
 
 
-def test_monitor_reuse_cache_bounded_and_unused_off_period():
+def test_monitor_reuse_cache_bounded_and_unused_off_period(monkeypatch):
     """The cache holds at most b/P + 1 raw vectors; when b is not a
     multiple of P no F_B is ever reused, and outputs are unchanged."""
     from repro.core import monitor as monm
 
     ds = build_dataset("Synth_D", 1, length_scale=0.5)
     for buffer_len in (12, 10):
-        mon = monm.DriftMonitor(ds.n_features, buffer_len=buffer_len)
+        monkeypatch.setattr(monm.DriftMonitor, "buffer_len", buffer_len)
+        mon = monm.DriftMonitor(ds.n_features)
         hits = 0
         for i in range(len(ds)):
             b_at = mon.i + 1 - mon.buffer_len

@@ -27,11 +27,6 @@ def test_make_method_unknown_raises():
         make_method("mi:bogus", 2, 2, 0)
 
 
-def test_make_method_overrides_forwarded():
-    m = make_method("FiCSUM", 3, 2, 0, ficsum_overrides={"window_size": 33})
-    assert m.cfg.window_size == 33
-
-
 @pytest.mark.parametrize("method", ["ER", "HTCD", "DWM"])
 def test_run_stream_result_schema(method):
     r = run_stream("STAGGER", method, 0, length_scale=0.2)

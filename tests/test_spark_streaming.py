@@ -261,6 +261,36 @@ def test_replayed_malformed_row_not_dropped_twice(caplog):
     assert caplog.text.count("dropped 1 malformed rows") == 1
 
 
+def test_two_keys_of_different_lengths_interleaved():
+    """Two keys share each micro-batch until the shorter one's rows run
+    out; each key's rows equal those of its own monitor, and a replay of
+    the shorter key's last batch leaves its state blob unchanged."""
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = {"a": build_dataset("Synth_D", 0, length_scale=0.6),
+          "b": build_dataset("Synth_D", 1, length_scale=0.6)}
+    n = {"a": 270, "b": 120}
+    pdf = {k: _obs_pdf(ds[k], n[k], stream_id=k) for k in ds}
+    batches = [
+        pd.concat([pdf[k].iloc[a:a + 30] for k in ("b", "a")]).sample(frac=1.0, random_state=a)
+        for a in range(0, n["a"], 30)
+    ]
+    batches[6] = pd.concat([batches[6], pdf["b"].iloc[90:]])  # b's last batch again
+    fn = make_drift_fn(ds["a"].n_features)
+    blobs, rows, b_blobs = {}, {"a": [], "b": []}, []
+    for batch in batches:
+        for (k,), group in batch.groupby(["stream_id"]):  # one call per key, as Spark makes
+            state = _group_state(blobs.get(k))
+            for frame in fn((k,), iter([group]), state):
+                rows[k] += zip(frame.seq, frame.similarity, frame.drift)
+            blobs[k] = state.get[0]
+            if k == "b":
+                b_blobs.append(blobs[k])
+    for k in ds:
+        _same_rows(rows[k], pdf[k].seq, _reference(ds[k], n[k]))
+    assert len(b_blobs) == 5 and b_blobs[4] == b_blobs[3]
+
+
 def test_stale_state_blob_is_rejected():
     """State saved by a monitor without the replay and reuse fields fails
     the batch with a ValueError naming them, not an AttributeError later."""

@@ -57,7 +57,7 @@ def test_run_one_error_keeps_traceback_tail():
     """The executor-side function, called directly: a failed run's error
     holds the exception line and the frame that raised, within the cap."""
     pdf = pd.DataFrame([{"run_id": 3, "dataset": "NOPE", "method": "ER", "seed": 0,
-                         "length_scale": 0.2, "overrides": ""}])
+                         "length_scale": 0.2}])
     row = _run_one(pdf).iloc[0]
     assert row.run_id == 3 and row.kappa == 0.0
     assert row.error.startswith("KeyError: 'NOPE'")
@@ -83,13 +83,3 @@ def test_aggregate_excludes_failed_runs(spark):
     )
     agg = aggregate(res).toPandas()
     assert len(agg) == 1 and agg.iloc[0].dataset == "STAGGER"
-
-
-def test_overrides_reach_the_run(spark):
-    res = run_sweep(
-        spark,
-        [{"dataset": "STAGGER", "method": "FiCSUM", "seed": 0,
-          "overrides": {"window_size": 30}}],
-        length_scale=0.2,
-    ).collect()[0]
-    assert res.error is None
