@@ -16,7 +16,12 @@ covers the raw bytes of a run's observable outputs:
   0.5) with upstream predictions wrong on every 7th row: the per-row
   (similarity, drift) series;
 - an unsupervised ``DriftMonitor`` fed ``Synth_D`` (seed 1,
-  length_scale 0.5): the per-row (similarity, drift) series.
+  length_scale 0.5): the per-row (similarity, drift) series;
+- the Table VI baselines ``HTCD``, ``RCD``, ``DWM`` and ``ARF`` on
+  (CMC, seed 1, length_scale 0.5), all 750 rows: the per-observation
+  (prediction, model_id) pairs. CMC, not RBF, because HTCD and ARF
+  replace a tree on it (on RBF at seed 1 neither does in the whole
+  stream), and ARF runs it in about 3 s.
 
 The digests were recorded with numpy 1.26 on x86-64. A float that moves
 in its last bit changes a digest, which is the point; the plain summary
@@ -42,6 +47,12 @@ MEAN_STEPS_SHA = "78a1ca4aa003e8b9762eae55b8ce22bef62a5dfcf9d5ccaf6eca0d6808cb69
 MEAN_DRIFTS_SHA = "64ad8e2eb9fd93fbf82c98e490802c505619307b35f69fbad801dbff1db39527"
 MEAN_ADWIN_SHA = "971a584c19e10106c33894687e6eb76f4e41d8f86f53c5bf7456db8157094a3c"
 UNSUP_MONITOR_SHA = "a64672ad6e0d73d83790dda894f664182f745d2957aad845c48271595bb83555"
+BASELINE_STEPS_SHA = {
+    "HTCD": "bbf85b69d4b78652375a2e02ae63dfe5300edceae2e2cf80753a4f6e661d9c15",
+    "RCD": "56341332f26298b36c778ea7142d14638e27b92ff1dfdaa39224dcd89eedb1f7",
+    "DWM": "35eb1140262ff9d248a6840f27d8bae6a89caaa8c960972cb7a3a7dbbb5df9dc",
+    "ARF": "34f8c01139662e6e3530c0e46860ef29ee6bd01f2fc426955502a751cc235d3a",
+}
 
 
 def _sha(*arrays: np.ndarray) -> str:
@@ -163,3 +174,14 @@ def test_unsupervised_monitor_digest():
     for i in range(len(ds)):
         sims[i], flags[i] = mon.add(ds.X[i], int(ds.y[i]))
     assert _sha(sims, flags) == UNSUP_MONITOR_SHA, np.flatnonzero(flags).tolist()
+
+
+@pytest.mark.parametrize("method", sorted(BASELINE_STEPS_SHA))
+def test_baseline_steps_digest(method):
+    ds = build_dataset("CMC", 1, length_scale=0.5)
+    model = make_method(method, ds.n_features, ds.n_classes, 1)
+    steps = np.array([model.process(ds.X[i], int(ds.y[i])) for i in range(len(ds))],
+                     dtype=np.int64)
+    if method in ("HTCD", "ARF"):
+        assert model.n_drifts >= 1  # the digest covers a tree replacement
+    assert _sha(steps) == BASELINE_STEPS_SHA[method], (model.n_drifts, np.unique(steps[:, 1]).tolist())
