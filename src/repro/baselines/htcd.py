@@ -16,11 +16,10 @@ _GRACE_PERIOD = 30   # the tree's observations between split attempts
 
 
 class HTCD:
-    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0):
+    def __init__(self, n_features: int, n_classes: int):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.seed = seed
-        self.tree = HoeffdingTree(n_features, n_classes, grace_period=_GRACE_PERIOD, seed=seed)
+        self.tree = HoeffdingTree(n_features, n_classes, grace_period=_GRACE_PERIOD)
         self.detector = ADWIN(delta=_DELTA)
         self.model_id = 0
         self.n_drifts = 0
@@ -31,9 +30,7 @@ class HTCD:
         if self.detector.add(float(pred != y)):
             self.n_drifts += 1
             self.model_id += 1
-            self.tree = HoeffdingTree(
-                self.n_features, self.n_classes,
-                grace_period=_GRACE_PERIOD, seed=self.seed + self.model_id,
-            )
+            self.tree = HoeffdingTree(self.n_features, self.n_classes,
+                                      grace_period=_GRACE_PERIOD)
             self.detector.reset()
         return pred, self.model_id

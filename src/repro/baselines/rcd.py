@@ -50,20 +50,19 @@ class _Concept:
 
 
 class RCD:
-    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0):
+    def __init__(self, n_features: int, n_classes: int):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.seed = seed
         self.detector = EDDM()
         self._recent: list[np.ndarray] = []
         self._next_id = 1
         self.concepts: list[_Concept] = []
-        self.active = _Concept(0, self._new_tree(0), np.empty((0, n_features)))
+        self.active = _Concept(0, self._new_tree(), np.empty((0, n_features)))
         self.concepts.append(self.active)
         self.n_drifts = 0
 
-    def _new_tree(self, k: int) -> HoeffdingTree:
-        return HoeffdingTree(self.n_features, self.n_classes, seed=self.seed + k)
+    def _new_tree(self) -> HoeffdingTree:
+        return HoeffdingTree(self.n_features, self.n_classes)
 
     def process(self, x: np.ndarray, y: int):
         pred = self.active.classifier.predict(x)
@@ -87,7 +86,7 @@ class RCD:
             if match is not None:
                 self.active = match
             else:
-                self.active = _Concept(self._next_id, self._new_tree(self._next_id), window)
+                self.active = _Concept(self._next_id, self._new_tree(), window)
                 self._next_id += 1
                 self.concepts.append(self.active)
             self._recent = []

@@ -25,8 +25,7 @@ from repro.detectors.adwin import ADWIN
 
 class DWM:
     def __init__(self, n_features: int, n_classes: int, *, beta: float = 0.5,
-                 theta: float = 0.01, period: int = 50, max_experts: int = 10,
-                 seed: int = 0):
+                 theta: float = 0.01, period: int = 50, max_experts: int = 10):
         self.n_features = n_features
         self.n_classes = n_classes
         self.beta = beta
@@ -77,7 +76,6 @@ class ARF:
         self.n_classes = n_classes
         self.n_trees = n_trees
         self.rng = np.random.default_rng(seed)
-        self.seed = seed
         k = max(1, int(np.sqrt(n_features)) + 1)
         self.subspaces = [
             self.rng.choice(n_features, size=min(k, n_features), replace=False)
@@ -91,7 +89,7 @@ class ARF:
 
     def _new_tree(self, t: int) -> HoeffdingTree:
         k = len(self.subspaces[t])
-        return HoeffdingTree(k, self.n_classes, grace_period=50, seed=self.seed + t)
+        return HoeffdingTree(k, self.n_classes, grace_period=50)
 
     def process(self, x: np.ndarray, y: int):
         votes = np.zeros(self.n_classes)

@@ -2,11 +2,12 @@
 
 A from-scratch Very Fast Decision Tree over numeric features:
 
-- per-leaf, per-class, per-feature Gaussian observers (Welford stats);
+- per-leaf, per-class, per-feature Gaussian statistics, held by a
+  :class:`~repro.classifiers.naive_bayes.GaussianNB` per node;
 - candidate binary splits at quantiles of the pooled class Gaussians;
 - information-gain criterion with the Hoeffding bound + tie threshold;
-- naive-Bayes-adaptive leaf prediction (majority vs NB, whichever has
-  been more accurate at that leaf);
+- leaf prediction by majority class below 2·C observations, then by the
+  leaf's Gaussian naive Bayes;
 - ``growth_events`` counter so FiCSUM can detect "the tree learned a new
   branch" and reset classifier-dependent fingerprint dimensions
   (Section IV plasticity);
@@ -25,33 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.classifiers.naive_bayes import GaussianNB
 from repro.core.binning import linspace_rows
 
 _EPS = 1e-9
 _N_CANDIDATES = 8
-
-
-class _LeafStats:
-    """Sufficient statistics held by one leaf."""
-
-    def __init__(self, n_features: int, n_classes: int):
-        self.class_counts = np.zeros(n_classes)
-        # Welford per (class, feature)
-        self.mean = np.zeros((n_classes, n_features))
-        self.m2 = np.zeros((n_classes, n_features))
-        self.nb_correct = 0.0
-        self.mc_correct = 0.0
-
-    def update(self, x: np.ndarray, y: int) -> None:
-        self.class_counts[y] += 1
-        n = self.class_counts[y]
-        delta = x - self.mean[y]
-        self.mean[y] += delta / n
-        self.m2[y] += delta * (x - self.mean[y])
-
-    @property
-    def total(self) -> float:
-        return float(self.class_counts.sum())
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -65,17 +44,17 @@ def _entropy(counts: np.ndarray) -> float:
 class _Node:
     __slots__ = (
         "stats", "split_feature", "threshold", "left", "right",
-        "depth", "n_seen_at_split",
+        "depth", "total_at_attempt",
     )
 
-    def __init__(self, stats: _LeafStats, depth: int):
+    def __init__(self, stats: GaussianNB, depth: int):
         self.stats = stats
         self.split_feature: int | None = None
         self.threshold = 0.0
         self.left: _Node | None = None
         self.right: _Node | None = None
         self.depth = depth
-        self.n_seen_at_split = 0.0
+        self.total_at_attempt = 0.0
 
     @property
     def is_leaf(self) -> bool:
@@ -99,7 +78,6 @@ class HoeffdingTree:
         delta: float = 0.01,
         tau: float = 0.15,
         max_depth: int = 12,
-        seed: int = 0,
     ):
         self.n_features = n_features
         self.n_classes = n_classes
@@ -107,11 +85,8 @@ class HoeffdingTree:
         self.delta = delta
         self.tau = tau
         self.max_depth = max_depth
-        self.root = _Node(_LeafStats(n_features, n_classes), depth=0)
+        self.root = _Node(GaussianNB(n_features, n_classes), depth=0)
         self.growth_events = 0
-        self.n_seen = 0
-        #: cumulative info-gain mass per feature (importance signal)
-        self.split_gain = np.zeros(n_features)
 
     # ------------------------------------------------------------------ sort
     def _sort(self, x: np.ndarray) -> _Node:
@@ -129,30 +104,14 @@ class HoeffdingTree:
 
     # --------------------------------------------------------------- predict
     def _leaf_proba(self, leaf: _Node, x: np.ndarray) -> np.ndarray:
+        """The leaf's class distribution while it has seen fewer than 2·C
+        observations, then its naive Bayes score of ``x``; an empty leaf
+        scores uniform."""
         st = leaf.stats
         total = st.total
-        if total == 0:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        mc = st.class_counts / total
-        if st.nb_correct < st.mc_correct or total < 2 * self.n_classes:
-            return mc
-        # naive Bayes over the leaf Gaussians
-        log_p = np.full(self.n_classes, -np.inf)
-        for c in range(self.n_classes):
-            nc = st.class_counts[c]
-            if nc == 0:
-                continue
-            prior = np.log(nc / total)
-            if nc < 2:
-                log_p[c] = prior
-                continue
-            var = st.m2[c] / nc + _EPS
-            log_p[c] = prior - 0.5 * np.sum(
-                np.log(2 * np.pi * var) + (x - st.mean[c]) ** 2 / var
-            )
-        log_p -= log_p.max()
-        p = np.exp(log_p)
-        return p / p.sum()
+        if 0 < total < 2 * self.n_classes:
+            return st.class_counts / total
+        return st.predict_proba(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return self._leaf_proba(self._sort(x), x)
@@ -163,29 +122,12 @@ class HoeffdingTree:
     def _leaf_proba_batch(self, leaf: _Node, X: np.ndarray) -> np.ndarray:
         """:meth:`_leaf_proba` of every row of ``X`` at ``leaf``, as a
         (len(X), n_classes) block bit-identical to stacking the per-row
-        calls: the same elementwise steps, with each per-row sum a
-        reduction over the contiguous last axis (numpy's pairwise sum,
-        grouped as for a 1-D array)."""
+        calls (:meth:`GaussianNB.predict_proba_batch`)."""
         st = leaf.stats
         total = st.total
-        if total == 0:
-            return np.full((len(X), self.n_classes), 1.0 / self.n_classes)
-        mc = st.class_counts / total
-        if st.nb_correct < st.mc_correct or total < 2 * self.n_classes:
-            return np.tile(mc, (len(X), 1))
-        log_p = np.full((len(X), self.n_classes), -np.inf)
-        counts = st.class_counts
-        seen = counts > 0
-        log_p[:, seen] = np.log(counts[seen] / total)  # the prior; nc >= 2 adds the Gaussian term
-        nb = np.flatnonzero(counts >= 2)
-        if nb.size:
-            nc = counts[nb]
-            var = st.m2[nb] / nc[:, None] + _EPS
-            terms = np.log(2 * np.pi * var) + (X[:, None, :] - st.mean[nb]) ** 2 / var
-            log_p[:, nb] -= 0.5 * terms.sum(axis=2)
-        log_p -= log_p.max(axis=1, keepdims=True)
-        p = np.exp(log_p)
-        return p / p.sum(axis=1, keepdims=True)
+        if 0 < total < 2 * self.n_classes:
+            return np.tile(st.class_counts / total, (len(X), 1))
+        return st.predict_proba_batch(X)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """:meth:`predict` of every row of ``X`` as an int array, equal to
@@ -210,25 +152,18 @@ class HoeffdingTree:
 
     # ----------------------------------------------------------------- train
     def partial_fit(self, x: np.ndarray, y: int) -> None:
-        self.n_seen += 1
         leaf = self._sort(x)
         st = leaf.stats
-        if st.total > 0:
-            mc_pred = int(np.argmax(st.class_counts))
-            st.mc_correct += mc_pred == y
-            # not predict()'s score: mc_correct, credited just above, decides NB vs majority
-            nb = self._leaf_proba(leaf, x)
-            st.nb_correct += int(np.argmax(nb)) == y
-        st.update(x, y)
+        st.partial_fit(x, y)
         if (
             leaf.depth < self.max_depth
-            and st.total - leaf.n_seen_at_split >= self.grace_period
+            and st.total - leaf.total_at_attempt >= self.grace_period
             and _entropy(st.class_counts) > 0
         ):
             self._try_split(leaf)
-            leaf.n_seen_at_split = st.total
+            leaf.total_at_attempt = st.total
 
-    def _candidate_gain(self, st: _LeafStats, feat: int) -> tuple[float, float]:
+    def _candidate_gain(self, st: GaussianNB, feat: int) -> tuple[float, float]:
         """Best (gain, threshold) for ``feat`` from the class Gaussians:
         the scalar reference that :meth:`_candidate_gains` must equal."""
         present = st.class_counts > 1
@@ -260,7 +195,7 @@ class HoeffdingTree:
                 best_gain, best_thr = float(gain), float(thr)
         return best_gain, best_thr
 
-    def _candidate_gains(self, st: _LeafStats) -> list[tuple[float, float]]:
+    def _candidate_gains(self, st: GaussianNB) -> list[tuple[float, float]]:
         """:meth:`_candidate_gain` of every feature, equal to the
         per-feature calls.
 
@@ -317,11 +252,9 @@ class HoeffdingTree:
             feat = order[0]
             leaf.split_feature = feat
             leaf.threshold = gains[feat][1]
-            leaf.left = _Node(_LeafStats(self.n_features, self.n_classes), leaf.depth + 1)
-            leaf.right = _Node(_LeafStats(self.n_features, self.n_classes), leaf.depth + 1)
-            # warm-start children's class priors from the parent split estimate
+            leaf.left = _Node(GaussianNB(self.n_features, self.n_classes), leaf.depth + 1)
+            leaf.right = _Node(GaussianNB(self.n_features, self.n_classes), leaf.depth + 1)
             self.growth_events += 1
-            self.split_gain[feat] += g1 * st.total
 
     # ------------------------------------------------------------ importance
     def feature_contributions(self, x: np.ndarray) -> np.ndarray:

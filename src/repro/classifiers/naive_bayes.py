@@ -1,7 +1,7 @@
 """Incremental Gaussian Naive Bayes.
 
-Used standalone as the DWM expert and inside Hoeffding-tree leaves for
-naive-Bayes-adaptive prediction. Per-class, per-feature running Gaussian
+Used standalone as the DWM expert, and as the statistics and scorer of
+every Hoeffding-tree leaf. Per-class, per-feature running Gaussian
 statistics via Welford updates; O(d) per observation.
 """
 from __future__ import annotations
@@ -17,40 +17,65 @@ class GaussianNB:
     def __init__(self, n_features: int, n_classes: int):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.counts = np.zeros(n_classes)
-        self._mean = np.zeros((n_classes, n_features))
-        self._m2 = np.zeros((n_classes, n_features))
+        self.class_counts = np.zeros(n_classes)
+        # Welford per (class, feature)
+        self.mean = np.zeros((n_classes, n_features))
+        self.m2 = np.zeros((n_classes, n_features))
 
     @property
-    def n_seen(self) -> float:
-        return float(self.counts.sum())
+    def total(self) -> float:
+        return float(self.class_counts.sum())
 
     def partial_fit(self, x: np.ndarray, y: int) -> None:
-        self.counts[y] += 1
-        delta = x - self._mean[y]
-        self._mean[y] += delta / self.counts[y]
-        self._m2[y] += delta * (x - self._mean[y])
+        self.class_counts[y] += 1
+        n = self.class_counts[y]
+        delta = x - self.mean[y]
+        self.mean[y] += delta / n
+        self.m2[y] += delta * (x - self.mean[y])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        total = self.counts.sum()
+        total = self.total
         if total == 0:
             return np.full(self.n_classes, 1.0 / self.n_classes)
         log_p = np.full(self.n_classes, -np.inf)
         for c in range(self.n_classes):
-            if self.counts[c] == 0:
+            nc = self.class_counts[c]
+            if nc == 0:
                 continue
-            prior = np.log(self.counts[c] / total)
-            if self.counts[c] < 2:
+            prior = np.log(nc / total)
+            if nc < 2:
                 log_p[c] = prior
                 continue
-            var = self._m2[c] / self.counts[c] + _EPS
-            ll = -0.5 * np.sum(
-                np.log(2 * np.pi * var) + (x - self._mean[c]) ** 2 / var
+            var = self.m2[c] / nc + _EPS
+            log_p[c] = prior - 0.5 * np.sum(
+                np.log(2 * np.pi * var) + (x - self.mean[c]) ** 2 / var
             )
-            log_p[c] = prior + ll
         log_p -= log_p.max()
         p = np.exp(log_p)
         return p / p.sum()
+
+    def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` of every row of ``X``, as a
+        (len(X), n_classes) block bit-identical to stacking the per-row
+        calls: the same elementwise steps, with each per-row sum a
+        reduction over the contiguous last axis (numpy's pairwise sum,
+        grouped as for a 1-D array)."""
+        total = self.total
+        if total == 0:
+            return np.full((len(X), self.n_classes), 1.0 / self.n_classes)
+        log_p = np.full((len(X), self.n_classes), -np.inf)
+        counts = self.class_counts
+        seen = counts > 0
+        log_p[:, seen] = np.log(counts[seen] / total)  # the prior; nc >= 2 adds the Gaussian term
+        nb = np.flatnonzero(counts >= 2)
+        if nb.size:
+            nc = counts[nb]
+            var = self.m2[nb] / nc[:, None] + _EPS
+            terms = np.log(2 * np.pi * var) + (X[:, None, :] - self.mean[nb]) ** 2 / var
+            log_p[:, nb] -= 0.5 * terms.sum(axis=2)
+        log_p -= log_p.max(axis=1, keepdims=True)
+        p = np.exp(log_p)
+        return p / p.sum(axis=1, keepdims=True)
 
     def predict(self, x: np.ndarray) -> int:
         return int(np.argmax(self.predict_proba(x)))

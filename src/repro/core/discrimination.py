@@ -61,7 +61,7 @@ def oracle_discrimination_ds(
     for start, end, c in segs:
         if c in trees:
             continue
-        t = HoeffdingTree(ds.n_features, ds.n_classes, seed=c)
+        t = HoeffdingTree(ds.n_features, ds.n_classes)
         for i in range(start, min(end, start + _TRAIN_CAP)):
             t.partial_fit(ds.X[i], int(ds.y[i]))
         trees[c] = t

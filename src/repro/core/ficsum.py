@@ -62,11 +62,10 @@ class FiCSUM:
     """Fingerprinting Combined Supervised and Unsupervised Meta-information."""
 
     def __init__(self, n_features: int, n_classes: int,
-                 config: FicsumConfig | None = None, seed: int = 0):
+                 config: FicsumConfig | None = None):
         cfg = self.cfg = config or FicsumConfig()
         self.n_features = n_features
         self.n_classes = n_classes
-        self.seed = seed
         kwargs = {"n_features": n_features}
         if cfg.functions is not None:
             kwargs["functions"] = tuple(cfg.functions)
@@ -86,7 +85,7 @@ class FiCSUM:
         return self.monitor.n_drifts
 
     def _new_classifier(self) -> HoeffdingTree:
-        return HoeffdingTree(self.n_features, self.n_classes, seed=self.seed)
+        return HoeffdingTree(self.n_features, self.n_classes)
 
     # ------------------------------------------------------------------ step
     def process(self, x: np.ndarray, y: int) -> StepResult:

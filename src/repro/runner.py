@@ -32,21 +32,22 @@ _SOURCE_MODES = {"FiCSUM": "all", "S-MI": "supervised", "U-MI": "unsupervised",
 
 
 def make_method(name: str, n_features: int, n_classes: int, seed: int):
-    """Instantiate a method by registry name."""
+    """Instantiate a method by registry name. ``seed`` reaches only ARF,
+    the one method with randomness (its bagging and feature subspaces)."""
     if name in _SOURCE_MODES:
         cfg = FicsumConfig(source_mode=_SOURCE_MODES[name])
-        return FiCSUM(n_features, n_classes, cfg, seed=seed)
+        return FiCSUM(n_features, n_classes, cfg)
     if name.startswith("mi:"):
         group = name[3:]
         funcs = tuple(FUNCTION_GROUPS[group])
         cfg = FicsumConfig(source_mode="all", functions=funcs)
-        return FiCSUM(n_features, n_classes, cfg, seed=seed)
+        return FiCSUM(n_features, n_classes, cfg)
     if name == "HTCD":
-        return HTCD(n_features, n_classes, seed=seed)
+        return HTCD(n_features, n_classes)
     if name == "RCD":
-        return RCD(n_features, n_classes, seed=seed)
+        return RCD(n_features, n_classes)
     if name == "DWM":
-        return DWM(n_features, n_classes, seed=seed)
+        return DWM(n_features, n_classes)
     if name == "ARF":
         return ARF(n_features, n_classes, seed=seed)
     raise ValueError(f"unknown method {name!r}")

@@ -52,7 +52,7 @@ def test_hoeffding_tree_grows_on_structured_data():
     for i in range(len(X)):
         tree.partial_fit(X[i], int(y[i]))
     assert tree.growth_events >= 1
-    assert tree.split_gain[0] > tree.split_gain[1]  # split on the true feature
+    assert tree.root.split_feature == 0  # split on the true feature
 
 
 def test_hoeffding_tree_proba_sums_to_one():

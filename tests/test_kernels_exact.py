@@ -15,7 +15,8 @@ F_B; both must give the fingerprints the one-at-a-time path gives.
 import numpy as np
 import pytest
 
-from repro.classifiers.hoeffding_tree import HoeffdingTree, _erf, _LeafStats
+from repro.classifiers.hoeffding_tree import HoeffdingTree, _erf
+from repro.classifiers.naive_bayes import GaussianNB
 from repro.core import emd
 from repro.core import meta_features as mf
 from repro.core.binning import histogram_bins, histogramdd_bins, linspace_rows
@@ -158,7 +159,7 @@ def _error_dist_sequences() -> list[np.ndarray]:
             np.array([3.0, 1.0, 2.0]), np.full(3, 2.0), np.full(12, 1.0), np.full(30, 5.0)]
     for name in ("RBF", "Arabic"):
         ds = _stream(name)
-        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=30, seed=0)
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=30)
         for i in range(300):
             tree.partial_fit(ds.X[i], int(ds.y[i]))
         for a in range(300, len(ds) - 75, 37):
@@ -245,7 +246,7 @@ def _labelling_window(name: str, a: int, n_trees: int):
     ds = _stream(name)
     trees = []
     for t in range(n_trees):
-        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=20, seed=t)
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=20)
         for i in range(t * 150, t * 150 + 700):
             tree.partial_fit(ds.X[i], int(ds.y[i]))
         trees.append(tree)
@@ -449,8 +450,6 @@ def _leaf_kinds(tree: HoeffdingTree, leaf) -> set[str]:
         return {"empty"}
     if st.total < 2 * n_classes:
         return {"majority_young"}
-    if st.nb_correct < st.mc_correct:
-        return {"majority_worse"}
     kinds = {"naive_bayes"}
     if (st.class_counts == 0).any():
         kinds.add("nc0")
@@ -483,16 +482,6 @@ def _build_predict_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
     for j in range(n):
         label = int(y[j]) if g.random() >= noise else int(g.integers(n_classes))
         tree.partial_fit(X[j], label)
-    if seed % 4 == 1:
-        # training credits the majority class before scoring, which keeps
-        # nb_correct >= mc_correct; set the majority-wins branch directly
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                stack += [node.left, node.right]
-            elif g.random() < 0.5:
-                node.stats.mc_correct = node.stats.nb_correct + 1
     W = g.standard_normal((int(g.choice([1, 8, 50, 75])), d)) * 2
     W = np.concatenate([W, W[g.integers(0, len(W), 5)]])  # duplicates
     on_threshold = []
@@ -532,8 +521,7 @@ def test_predict_batch_covers_leaf_kinds():
             kinds |= _leaf_kinds(tree, tree._sort(x))
             on_threshold += any(x[p.split_feature] == p.threshold
                                 for p in tree._path(x)[:-1])
-    assert kinds == {"empty", "majority_young", "majority_worse", "naive_bayes",
-                     "nc0", "nc1"}
+    assert kinds == {"empty", "majority_young", "naive_bayes", "nc0", "nc1"}
     assert on_threshold > 0
 
 
@@ -555,6 +543,7 @@ def test_predict_batch_does_not_call_predict(monkeypatch):
 
     for name in ("predict", "predict_proba", "_leaf_proba"):
         monkeypatch.setattr(HoeffdingTree, name, boom)
+    monkeypatch.setattr(GaussianNB, "predict_proba", boom)
     assert np.array_equal(tree.predict_batch(W), want)
 
 
@@ -563,7 +552,7 @@ def _gains_hex(gains) -> list[tuple[str, str]]:
     return [(float(g).hex(), float(t).hex()) for g, t in gains]
 
 
-def _assert_gains_exact(tree: HoeffdingTree, st: _LeafStats, got=None) -> None:
+def _assert_gains_exact(tree: HoeffdingTree, st: GaussianNB, got=None) -> None:
     want = [tree._candidate_gain(st, f) for f in range(tree.n_features)]
     if got is None:
         got = tree._candidate_gains(st)
@@ -593,15 +582,15 @@ def test_candidate_gains_along_real_runs(name, monkeypatch):
 
 
 def _random_stats(g: np.random.Generator, n_features: int, n_classes: int,
-                  max_count: int) -> _LeafStats:
-    st = _LeafStats(n_features, n_classes)
+                  max_count: int) -> GaussianNB:
+    st = GaussianNB(n_features, n_classes)
     st.class_counts = g.integers(0, max_count + 1, n_classes).astype(float)
     st.mean = g.standard_normal((n_classes, n_features)) * g.choice([1e-3, 1.0, 1e3], n_features)
     st.m2 = g.random((n_classes, n_features)) * st.class_counts[:, None] * g.uniform(0.01, 5)
     return st
 
 
-def _left_sums(st: _LeafStats, feat: int) -> list[float]:
+def _left_sums(st: GaussianNB, feat: int) -> list[float]:
     """Left-branch mass of each candidate threshold, as the scalar loop sums it."""
     present = st.class_counts > 1
     means = st.mean[present, feat]
@@ -646,7 +635,7 @@ def test_candidate_gains_edge_stats():
     assert gains[1] == (0.0, 0.0)
     _assert_gains_exact(tree, st)
     # so few observations that outer thresholds leave < 1 on a side
-    st = _LeafStats(4, 9)
+    st = GaussianNB(4, 9)
     st.class_counts[[0, 3]] = 2, 1
     st.mean[[0, 3]] = g.standard_normal((2, 4))
     st.m2[0] = g.random(4)
