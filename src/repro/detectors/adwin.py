@@ -1,17 +1,15 @@
 """ADWIN (ADaptive WINdowing) drift detector — Bifet & Gavaldà 2007.
 
-Exponential-histogram implementation: the window of real values is kept
-as buckets of exponentially growing capacity (``M`` buckets per level).
-On each update every admissible cut point between buckets is tested with
-the ADWIN bound; if the two sub-window means differ significantly the
-older sub-window is dropped and drift is flagged.
-
-FiCSUM feeds the fingerprint-similarity series into ADWIN; HTCD and ARF
-feed 0/1 error indicators.
+The window of real values is kept as an exponential histogram: buckets
+whose counts are powers of two, at most ``M`` per count (level). Every
+``CHECK_PERIOD``-th add tests each cut between buckets with the ADWIN
+bound and drops the oldest bucket while a cut is found. FiCSUM feeds it
+the similarity series; HTCD and ARF feed it 0/1 errors.
 """
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -26,23 +24,17 @@ class _Bucket:
 
 
 class ADWIN:
-    """Adaptive windowing over a stream of real values.
+    """Adaptive windowing over real values; δ is the only setting. ``add(x)``
+    returns True when it found a drift and shrank the window past it."""
 
-    ``add(x)`` returns True when a drift was detected at this step (the
-    window has been shrunk to the post-change regime).
-    """
+    M = 5             # buckets per level before its two oldest merge
+    MIN_WINDOW = 10   # no cut is tested in a shorter window
+    CHECK_PERIOD = 4  # cuts are tested on every 4th add
 
-    def __init__(self, delta: float = 0.002, max_buckets_per_level: int = 5,
-                 min_window: int = 10, check_period: int = 4):
+    def __init__(self, delta: float = 0.002):
         self.delta = delta
-        self.M = max_buckets_per_level
-        self.min_window = min_window
-        self.check_period = check_period
         self.buckets: deque[_Bucket] = deque()  # oldest first
-        self.total = 0.0
-        self.width = 0
-        self.variance_sum = 0.0  # sum over buckets of internal variance*count
-        self._tick = 0
+        self.reset()
 
     @property
     def mean(self) -> float:
@@ -52,83 +44,55 @@ class ADWIN:
         self.buckets.clear()
         self.total = 0.0
         self.width = 0
-        self.variance_sum = 0.0
+        self.variance_sum = 0.0  # sum over buckets of internal variance*count
         self._tick = 0
 
-    # ------------------------------------------------------------------ core
     def add(self, x: float) -> bool:
-        self._insert(x)
-        self._compress()
-        self._tick += 1
-        if self.width < self.min_window or self._tick % self.check_period:
-            return False
-        return self._detect()
-
-    def _insert(self, x: float) -> None:
         if self.width:
-            mean = self.mean
-            self.variance_sum += (x - mean) ** 2 * self.width / (self.width + 1)
+            self.variance_sum += (x - self.mean) ** 2 * self.width / (self.width + 1)
         self.buckets.append(_Bucket(x, 0.0, 1))
         self.total += x
         self.width += 1
-
-    def _compress(self) -> None:
-        # merge oldest pair at any level holding more than M buckets
-        buckets = list(self.buckets)
-        merged = False
-        counts: dict[int, list[int]] = {}
-        for idx, b in enumerate(buckets):
-            counts.setdefault(b.count, []).append(idx)
-        for cnt in sorted(counts):
-            idxs = counts[cnt]
-            if len(idxs) > self.M:
-                i1, i2 = idxs[0], idxs[1]
-                b1, b2 = buckets[i1], buckets[i2]
-                n = b1.count + b2.count
-                mu1, mu2 = b1.total / b1.count, b2.total / b2.count
-                var = (
-                    b1.variance + b2.variance
-                    + b1.count * b2.count / n * (mu1 - mu2) ** 2
-                )
-                buckets[i1] = _Bucket(b1.total + b2.total, var, n)
-                del buckets[i2]
-                merged = True
-                break
-        if merged:
-            self.buckets = deque(buckets)
-
-    def _detect(self) -> bool:
+        self._compress()
+        self._tick += 1
+        if self.width < self.MIN_WINDOW or self._tick % self.CHECK_PERIOD:
+            return False
         drift = False
-        while self.width >= self.min_window:
-            # scan cut points oldest→newest
-            n0, sum0 = 0.0, 0.0
-            found = False
-            buckets = list(self.buckets)
-            n_total, sum_total = self.width, self.total
-            var_total = self.variance_sum / self.width if self.width else 0.0
-            for b in buckets[:-1]:
-                n0 += b.count
-                sum0 += b.total
-                n1 = n_total - n0
-                if n0 < 1 or n1 < 1:
-                    continue
-                mu0, mu1 = sum0 / n0, (sum_total - sum0) / n1
-                m = 1.0 / (1.0 / n0 + 1.0 / n1)
-                dd = np.log(2.0 * np.log(max(n_total, 2)) / self.delta)
-                eps = np.sqrt(2.0 * m * var_total * dd) / m + 2.0 / (3.0 * m) * dd
-                if abs(mu0 - mu1) > eps:
-                    found = True
-                    break
-            if not found:
-                break
+        while self.width >= self.MIN_WINDOW and self._cut_found():
             drift = True
-            self._drop_oldest()
+            b = self.buckets.popleft()
+            self.total -= b.total
+            self.width -= b.count
+            self.variance_sum = max(0.0, self.variance_sum - b.variance) if self.buckets else 0.0
         return drift
 
-    def _drop_oldest(self) -> None:
-        b = self.buckets.popleft()
-        self.total -= b.total
-        self.width -= b.count
-        self.variance_sum = max(0.0, self.variance_sum - b.variance)
-        if not self.buckets:
-            self.variance_sum = 0.0
+    def _compress(self) -> None:
+        # Counts never increase from oldest to newest (a merge keeps its level's
+        # oldest place), so the smallest level over M is the newest run over M.
+        i, run, count = len(self.buckets), 0, 0
+        for b in reversed(self.buckets):
+            if b.count != count:
+                if run > self.M:
+                    break
+                run, count = 0, b.count
+            run += 1
+            i -= 1
+        if run > self.M:  # merge the run's two oldest, buckets[i] and [i + 1]
+            b1, b2 = self.buckets[i], self.buckets[i + 1]
+            n = b1.count + b2.count
+            mu1, mu2 = b1.total / b1.count, b2.total / b2.count
+            var = b1.variance + b2.variance + b1.count * b2.count / n * (mu1 - mu2) ** 2
+            self.buckets[i] = _Bucket(b1.total + b2.total, var, n)
+            del self.buckets[i + 1]
+
+    def _cut_found(self) -> bool:
+        # some cut splits the window into means further apart than ε_cut
+        k = len(self.buckets) - 1
+        n0 = np.cumsum(np.fromiter((b.count for b in islice(self.buckets, k)), float, k))
+        sum0 = np.cumsum(np.fromiter((b.total for b in islice(self.buckets, k)), float, k))
+        n1 = self.width - n0
+        mu0, mu1 = sum0 / n0, (self.total - sum0) / n1
+        m = 1.0 / (1.0 / n0 + 1.0 / n1)
+        dd = np.log(2.0 * np.log(max(self.width, 2)) / self.delta)
+        eps = np.sqrt(2.0 * m * (self.variance_sum / self.width) * dd) / m + 2.0 / (3.0 * m) * dd
+        return bool((np.abs(mu0 - mu1) > eps).any())

@@ -66,7 +66,7 @@ class TestADWIN:
         assert a.width == 0 and a.total == 0.0
 
     def test_bucket_compression_bounds_memory(self):
-        a = ADWIN(max_buckets_per_level=5)
+        a = ADWIN()
         for i in range(5000):
             a.add(float(i % 2))
         # exponential histogram: O(M log n) buckets, far fewer than n
