@@ -62,18 +62,17 @@ def make_drift_fn(n_features: int):
         rejected = 0
         for pdf in pdfs:
             pdf = pdf.sort_values("seq")
-            for _, row in pdf.iterrows():
-                seq = int(row["seq"])
+            for seq, x, y, l in zip(pdf["seq"], pdf["features"], pdf["y"], pdf["l"]):
+                seq = int(seq)
                 if monitor.last_seq is not None and seq <= monitor.last_seq:
                     continue  # already handled: a re-delivered row
                 monitor.last_seq = seq
                 try:
-                    x = monitor.check(list(row["features"]))
-                    y, l = int(row["y"]), int(row["l"])  # a null label arrives as NaN
+                    # a null label arrives as NaN; add checks x before any state changes
+                    sim, drift = monitor.add(x, int(y), int(l))
                 except ValueError:
                     rejected += 1
                     continue
-                sim, drift = monitor.add(x, y, l)
                 out_rows.append((key[0], seq, sim, drift))
         if rejected:
             log.warning("stream %s: dropped %d malformed rows in this batch",
