@@ -264,11 +264,12 @@ def compute_feature_matrix(
         elif name == "pacf1":
             out[:, j] = np.clip(r1, -1.0, 1.0)
         elif name == "pacf2":
-            den = 1.0 - r1**2
-            out[:, j] = np.clip(
-                np.where(np.abs(den) > 1e-12, (r2 - r1**2) / np.where(np.abs(den) > 1e-12, den, 1.0), 0.0),
-                -1.0, 1.0,
-            )
+            if w > 3:  # as f_pacf2, 0 on 3 rows or fewer
+                den = 1.0 - r1**2
+                out[:, j] = np.clip(
+                    np.where(np.abs(den) > 1e-12, (r2 - r1**2) / np.where(np.abs(den) > 1e-12, den, 1.0), 0.0),
+                    -1.0, 1.0,
+                )
         elif name == "turning_point_rate":
             if w >= 3:
                 d1 = np.sign(np.diff(M[:-1], axis=0))

@@ -111,9 +111,12 @@ def test_imf_entropy_positive_on_oscillation():
     assert mf.f_imf1_entropy(SEQS["sine"] + 0.1 * SEQS["noise"]) > 0.0
 
 
-@pytest.mark.parametrize("k", [1, 2, 5, 14])
-def test_matrix_path_matches_scalar(k):
-    M = np.random.default_rng(k).random((50, k))
+@pytest.mark.parametrize("k, w", [
+    pytest.param(k, w, id=str(k) if w == 50 else f"w{w}-{k}")
+    for w in (50, 3, 4) for k in (1, 2, 5, 14)
+])
+def test_matrix_path_matches_scalar(k, w):
+    M = np.random.default_rng(k).random((w, k))
     if k >= 3:
         M[:, 2] = 1.23  # constant column exercises sentinels
     sc = np.stack([mf.compute_sequence_features(M[:, c]) for c in range(k)])
