@@ -24,14 +24,14 @@ from repro.detectors.adwin import ADWIN
 
 
 class DWM:
-    def __init__(self, n_features: int, n_classes: int, *, beta: float = 0.5,
-                 theta: float = 0.01, period: int = 50, max_experts: int = 10):
+    beta = 0.5        # weight factor of an expert that errs on an update step
+    theta = 0.01      # experts whose weight falls below this are pruned
+    period = 50       # observations between weight updates
+    max_experts = 10
+
+    def __init__(self, n_features: int, n_classes: int):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.beta = beta
-        self.theta = theta
-        self.period = period
-        self.max_experts = max_experts
         self.experts = [GaussianNB(n_features, n_classes)]
         self.weights = [1.0]
         self._i = 0
@@ -70,21 +70,22 @@ class DWM:
 
 
 class ARF:
-    def __init__(self, n_features: int, n_classes: int, *, n_trees: int = 10,
-                 delta: float = 0.01, seed: int = 0):
+    n_trees = 10
+    adwin_delta = 0.01  # each tree's ADWIN δ over its 0/1 errors
+
+    def __init__(self, n_features: int, n_classes: int, *, seed: int = 0):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.n_trees = n_trees
         self.rng = np.random.default_rng(seed)
         k = max(1, int(np.sqrt(n_features)) + 1)
         self.subspaces = [
             self.rng.choice(n_features, size=min(k, n_features), replace=False)
-            for _ in range(n_trees)
+            for _ in range(self.n_trees)
         ]
-        self.trees = [self._new_tree(t) for t in range(n_trees)]
-        self.detectors = [ADWIN(delta=delta) for _ in range(n_trees)]
-        self.acc_correct = np.ones(n_trees)
-        self.acc_total = np.full(n_trees, 2.0)
+        self.trees = [self._new_tree(t) for t in range(self.n_trees)]
+        self.detectors = [ADWIN(delta=self.adwin_delta) for _ in range(self.n_trees)]
+        self.acc_correct = np.ones(self.n_trees)
+        self.acc_total = np.full(self.n_trees, 2.0)
         self.n_drifts = 0
 
     def _new_tree(self, t: int) -> HoeffdingTree:

@@ -117,20 +117,22 @@ def test_dwm_learns_and_single_model_id():
     assert correct / len(X) > 0.85
 
 
-def test_dwm_adds_and_prunes_experts():
+def test_dwm_adds_and_prunes_experts(monkeypatch):
+    monkeypatch.setattr(DWM, "period", 10)
     g = np.random.default_rng(0)
     X = g.random((600, 2))
     y = (X[:, 0] > 0.5).astype(int)
-    dwm = DWM(2, 2, period=10)
+    dwm = DWM(2, 2)
     for i in range(len(X)):
         dwm.process(X[i], int(y[i]))
     assert 1 <= len(dwm.experts) <= dwm.max_experts
     assert len(dwm.weights) == len(dwm.experts)
 
 
-def test_arf_learns_blobs():
+def test_arf_learns_blobs(monkeypatch):
+    monkeypatch.setattr(ARF, "n_trees", 5)
     X, y = _blobs(900, 4, 2, seed=5)
-    arf = ARF(4, 2, n_trees=5)
+    arf = ARF(4, 2)
     correct = 0
     for i in range(len(X)):
         pred, mid = arf.process(X[i], int(y[i]))
@@ -139,19 +141,21 @@ def test_arf_learns_blobs():
     assert correct / len(X) > 0.8
 
 
-def test_arf_subspaces_valid():
-    arf = ARF(10, 2, n_trees=6)
+def test_arf_subspaces_valid(monkeypatch):
+    monkeypatch.setattr(ARF, "n_trees", 6)
+    arf = ARF(10, 2)
     for sub in arf.subspaces:
         assert len(set(sub)) == len(sub)
         assert all(0 <= f < 10 for f in sub)
 
 
-def test_arf_recovers_after_abrupt_drift():
+def test_arf_recovers_after_abrupt_drift(monkeypatch):
     g = np.random.default_rng(2)
     X = g.random((2400, 3))
     y1 = (X[:, 0] > 0.5).astype(int)
     y2 = 1 - y1  # inverted concept
-    arf = ARF(3, 2, n_trees=5)
+    monkeypatch.setattr(ARF, "n_trees", 5)
+    arf = ARF(3, 2)
     accs = []
     for i in range(2400):
         y = y1[i] if i < 1200 else y2[i]
