@@ -93,6 +93,6 @@ class ADWIN:
         n1 = self.width - n0
         mu0, mu1 = sum0 / n0, (self.total - sum0) / n1
         m = 1.0 / (1.0 / n0 + 1.0 / n1)
-        dd = np.log(2.0 * np.log(max(self.width, 2)) / self.delta)
+        dd = np.log(2.0 * np.log(self.width) / self.delta)
         eps = np.sqrt(2.0 * m * (self.variance_sum / self.width) * dd) / m + 2.0 / (3.0 * m) * dd
         return bool((np.abs(mu0 - mu1) > eps).any())
