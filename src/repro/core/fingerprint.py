@@ -13,7 +13,9 @@ Model selection and the discrimination oracle fingerprint one window
 under several classifiers. ``compute_fingerprint`` takes those
 labellings as one (n, w) stack: the classifier-free sources (features
 and ``y``) are distilled once, and every labelling's ``l`` and error
-columns join the same batched kernel call.
+columns join the same batched kernel call. The stand-alone drift monitor
+fingerprints every periodic window of a micro-batch the same way, as one
+(m, w, d) stack of windows.
 
 ``Normalizer`` tracks the online min/max of every fingerprint dimension
 and rescales to [0,1] (Section III-A "the observed range of each
@@ -128,39 +130,54 @@ def compute_fingerprint(
     :func:`compute_feature_matrix` call once, followed by the (l, error)
     columns of every labelling: its kernels are exact per column, so each
     row is bit-identical to a single-labelling call.
+
+    ``X`` may also be an (m, w, d) stack of windows, with ``y`` and ``l``
+    their (m, w) labels and predictions and ``tree`` None; the result is
+    (m, dim), row k equal to the call with ``X[k]``, ``y[k]`` and ``l[k]``.
+    Every window's columns enter the same single kernel call.
     """
     l = np.asarray(l)
+    if np.ndim(X) == 3:
+        return _labelled_fingerprints(X, y, l[:, None], schema, [tree])[:, 0]
     if l.ndim == 1:
-        return _labelled_fingerprints(X, y, l[None], schema, [tree])[0]
+        return _labelled_fingerprints(X[None], y[None], l[None, None], schema, [tree])[0, 0]
     trees = [None] * len(l) if tree is None else list(tree)
-    return _labelled_fingerprints(X, y, l, schema, trees)
+    return _labelled_fingerprints(X[None], y[None], l[None], schema, trees)[0]
 
 
 def _labelled_fingerprints(X: np.ndarray, y: np.ndarray, l: np.ndarray,
                            schema: FingerprintSchema, trees: list) -> np.ndarray:
-    """:func:`compute_fingerprint` of the (n, w) labellings ``l``."""
-    errors = (y != l).astype(float)
+    """:func:`compute_fingerprint` of the (m, n, w) labellings ``l`` of the
+    m windows ``X`` (m, w, d) with labels ``y`` (m, w): (m, n, dim), the
+    n labellings of window k scored with ``trees``."""
+    errors = (y[:, None] != l).astype(float)
     if schema.source_mode == "error_rate":
-        return np.array([[float(e.mean()) if e.size else 0.0] for e in errors])
-    free = [s for s in schema.sources if s not in CLASSIFIER_SOURCES]
-    per_label = [s for s in schema.sources if s in ("l", "error")]
-    cols = [X[:, int(s[1:])] if s.startswith("x") else y.astype(float) for s in free]
-    for lr, er in zip(l, errors):
-        cols += [lr.astype(float) if s == "l" else er for s in per_label]
-    mat = compute_feature_matrix(np.column_stack(cols), schema.seq_functions)
-    head = mat[: len(free)].ravel()
-    rows = []
-    for r, er in enumerate(errors):
-        a = len(free) + r * len(per_label)
-        parts = [head, mat[a: a + len(per_label)].ravel()]
-        if "error_dist" in schema.sources:
-            # variable length: the scalar path
-            parts.append(compute_sequence_features(
-                error_distance_sequence(er), schema.seq_functions))
-        if schema.use_shapley:
-            parts.append(shapley_dims(X, schema, trees[r]))
-        rows.append(np.concatenate(parts))
-    return np.array(rows)
+        return np.array([[[float(e.mean()) if e.size else 0.0] for e in ek] for ek in errors])
+    sources, functions = schema.sources, schema.seq_functions
+    free = [s for s in sources if s not in CLASSIFIER_SOURCES]
+    per_label = [s for s in sources if s in ("l", "error")]
+    cols = [Xk[:, int(s[1:])] if s.startswith("x") else yk.astype(float)
+            for Xk, yk in zip(X, y) for s in free]
+    for lk, ek in zip(l, errors):
+        for lr, er in zip(lk, ek):
+            cols += [lr.astype(float) if s == "l" else er for s in per_label]
+    mat = compute_feature_matrix(np.column_stack(cols), functions)
+    nf, npl = len(free), len(per_label)
+    out = []
+    for k, ek in enumerate(errors):
+        head = mat[k * nf: (k + 1) * nf].ravel()
+        rows = []
+        for r, er in enumerate(ek):
+            a = nf * len(X) + (k * len(ek) + r) * npl
+            parts = [head, mat[a: a + npl].ravel()]
+            if "error_dist" in sources:
+                # variable length: the scalar path
+                parts.append(compute_sequence_features(error_distance_sequence(er), functions))
+            if schema.use_shapley:
+                parts.append(shapley_dims(X[k], schema, trees[r]))
+            rows.append(np.concatenate(parts))
+        out.append(rows)
+    return np.array(out)
 
 
 def shapley_dims(X: np.ndarray, schema: FingerprintSchema, tree) -> np.ndarray:

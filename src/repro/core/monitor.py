@@ -17,8 +17,11 @@ computation gives.
 
 Stand-alone, the monitor is classifier-free: labels ``y`` and upstream
 predictions ``l`` (optional) arrive with the observations, and a drift
-starts a fresh concept. It is the state object carried by the Structured
-Streaming stateful operator (``repro.sparkjobs.streaming``); it is
+starts a fresh concept. The raw fingerprint of a window then depends only
+on its rows, so ``add_many`` fingerprints every window a batch of rows
+will use in one kernel call before stepping through the rows. It is the
+state object carried by the Structured Streaming stateful operator
+(``repro.sparkjobs.streaming``), which hands it each micro-batch; it is
 picklable and processes observations strictly in sequence order.
 :class:`repro.core.ficsum.FiCSUM` owns one over its own fingerprint
 schema and does the model selection on drift.
@@ -126,22 +129,37 @@ class DriftMonitor:
         return row
 
     def add(self, x, y: int, l: int | None = None) -> tuple[float, bool]:
-        """Process one observation; returns (similarity, drift_flag) and
-        starts a fresh concept on drift.
+        """Process one observation: :meth:`add_many` of one checked row."""
+        return self.add_many(self.check(x)[None], [int(y)], [int(l if l is not None else y)])[0]
 
-        Similarity is NaN until the concept fingerprint is trained.
+    def add_many(self, X: np.ndarray, y, l) -> list[tuple[float, bool]]:
+        """Process checked rows ``X`` (n, d) with labels ``y`` and upstream
+        predictions ``l`` in order; returns one (similarity, drift_flag) per
+        row and starts a fresh concept on each drift.
+
+        Similarity is NaN until the concept fingerprint is trained. The raw
+        fingerprints of the windows the rows' periodic steps use come from
+        one kernel call (:meth:`_batch_raws`); normalization, similarity,
+        the gate, ADWIN and the breach rule then run row by row.
         """
-        sim, drift = self.step(self.check(x), int(y), int(l if l is not None else y))
-        if drift:
-            self.activate(ConceptRecord(self.n_drifts, self.schema.dim, None))
-        return sim, drift
+        raws = self._batch_raws(X, y, l)
+        out = []
+        for x_r, y_r, l_r in zip(X, y, l):
+            sim, drift = self.step(x_r, int(y_r), int(l_r), raws=raws)
+            if drift:
+                self.activate(ConceptRecord(self.n_drifts, self.schema.dim, None))
+            out.append((sim, drift))
+        return out
 
-    def step(self, x: np.ndarray, y: int, l: int,
-             repo: Repository | None = None) -> tuple[float, bool]:
+    def step(self, x: np.ndarray, y: int, l: int, repo: Repository | None = None,
+             raws: dict[int, np.ndarray] | None = None) -> tuple[float, bool]:
         """Append a checked observation and run the periodic detection
         step; returns (similarity, drift) without switching concepts.
 
         ``repo`` adds the inter-concept terms to the dynamic weights.
+        ``raws`` holds raw fingerprints computed ahead, keyed by the
+        observation count their window ends at; a window not in it is
+        fingerprinted here.
         """
         j = self.i % len(self.y)
         self.X[j], self.y[j], self.l[j] = x, y, l
@@ -150,6 +168,7 @@ class DriftMonitor:
         if self.i < w or self.i % self.period:
             return float("nan"), False
         self._tick += 1
+        raws = raws or {}
         X, Y, L = self.window()
         rec = self.active
         F_c = rec.fingerprint
@@ -158,7 +177,7 @@ class DriftMonitor:
         if self.i >= w + self.buffer_len and (
             self._tick % self.incorporate_every == 0 or F_c.n_incorporated < 2
         ):
-            F_B = self._fingerprint(X[:w], Y[:w], L[:w], self._raw_a.get(b_at))
+            F_B = self._fingerprint(X[:w], Y[:w], L[:w], self._raw_a.get(b_at, raws.get(b_at)))
             if F_c.n_incorporated >= 2:
                 sim_b = similarity(F_c.mu, F_B, self.weights(F_c, repo))
                 # incorporation gate: a buffer window that looks nothing
@@ -174,7 +193,7 @@ class DriftMonitor:
                 rec.calib_vec = F_B
         if F_c.n_incorporated < 2 or self.i < self._cooldown_until:
             return float("nan"), False
-        F_A = self._fingerprint(X[-w:], Y[-w:], L[-w:], key=self.i)
+        F_A = self._fingerprint(X[-w:], Y[-w:], L[-w:], raws.get(self.i), key=self.i)
         sim_a = similarity(F_c.mu, F_A, self.weights(F_c, repo))
         # ADWIN (paper) plus the consecutive-breach rule: at our scaled
         # segment lengths ADWIN's Hoeffding term needs more samples per
@@ -217,6 +236,43 @@ class DriftMonitor:
     def _breached(self, sim: float) -> bool:
         s = self.active.sim
         return s.n >= 5 and sim < s.mean - self.breach_sigmas * max(s.std, self.breach_floor)
+
+    def _batch_raws(self, X: np.ndarray, y: np.ndarray, l: np.ndarray) -> dict[int, np.ndarray]:
+        """Raw fingerprints, by end count, of the windows that the periodic
+        steps over rows (X, y, l) will fingerprint, from one kernel call.
+
+        The step at count c fingerprints F_A, the w rows ending at c,
+        outside the cooldown once the concept has incorporated two F_B;
+        F_B, the w rows ending at c − b, is needed on incorporating steps
+        unless ``_raw_a`` or an earlier F_A of the batch holds it. No
+        window starts before the buffered w+b rows or ends after the new
+        ones. A drift inside the batch cannot be foreseen: the F_A of its
+        cooldown are computed and left unused.
+        """
+        w, b, period = self.window_size, self.buffer_len, self.period
+        first = max(w, self.i + 1)
+        counts = range(first + -first % period, self.i + len(X) + 1, period)
+        if not counts:
+            return {}
+        n_inc = self.active.fingerprint.n_incorporated
+        ends: list[int] = []
+        for tick, c in enumerate(counts, self._tick + 1):
+            if c >= w + b and (n_inc < 2 or tick % self.incorporate_every == 0):
+                if c - b not in self._raw_a and c - b not in ends:
+                    ends.append(c - b)
+                n_inc += 1  # below 2, F_B is incorporated without the gate
+            if n_inc >= 2 and c >= self._cooldown_until:
+                ends.append(c)
+        if not ends:
+            return {}
+        # rows: the buffered w+b, oldest first, then the new ones; the
+        # window ending at count c starts at row c − i + b
+        j = self.i % len(self.y)
+        at = (np.array(ends) - self.i + b)[:, None] + np.arange(w)
+        Xw, yw, lw = (np.concatenate((buf[j:], buf[:j], new))[at]
+                      for buf, new in ((self.X, X), (self.y, y), (self.l, l)))
+        raws = compute_fingerprint(Xw, yw, lw, self.schema)
+        return dict(zip(ends, raws))
 
     def _fingerprint(self, X: np.ndarray, y: np.ndarray, l: np.ndarray,
                      seen: np.ndarray | None = None, key: int | None = None) -> np.ndarray:

@@ -24,6 +24,7 @@ import logging
 import pickle
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
@@ -37,10 +38,12 @@ log = logging.getLogger(__name__)
 def make_drift_fn(n_features: int):
     """Build the per-key stateful function for ``applyInPandasWithState``.
 
-    The returned closure deserializes the per-key DriftMonitor, feeds
-    the batch's rows in ``seq`` order, and stores the updated monitor
-    back. Sequence numbers need only increase: they may start anywhere
-    and have gaps. A row whose ``seq`` is not above the last one the
+    The returned closure deserializes the per-key DriftMonitor, sorts
+    all of the key's rows in the batch by ``seq`` (across every frame
+    Spark hands it), checks them, feeds the valid ones to one
+    ``DriftMonitor.add_many`` call, and stores the updated monitor back.
+    Sequence numbers need only increase: they may start anywhere and have
+    gaps. A row whose ``seq`` is not above the last one the
     operator handled (``DriftMonitor.last_seq``) is a re-delivery and is
     skipped, so a replayed batch emits nothing twice. A row the monitor
     rejects (wrong feature count, NaN or inf) or with a null label is
@@ -54,34 +57,41 @@ def make_drift_fn(n_features: int):
     ) -> Iterator[pd.DataFrame]:
         from repro.core.monitor import DriftMonitor
 
+        # one sort over all of the key's frames: a later frame may hold lower seqs
+        pdf = pd.concat(list(pdfs)).sort_values("seq", kind="stable")
         if state.exists:
             monitor = pickle.loads(state.get[0])
         else:
             monitor = DriftMonitor(n_features)
-        out_rows = []
+        seqs, rows, ys, ls = [], [], [], []
         rejected = 0
-        for pdf in pdfs:
-            pdf = pdf.sort_values("seq")
-            for seq, x, y, l in zip(pdf["seq"], pdf["features"], pdf["y"], pdf["l"]):
-                seq = int(seq)
-                if monitor.last_seq is not None and seq <= monitor.last_seq:
-                    continue  # already handled: a re-delivered row
-                monitor.last_seq = seq
-                try:
-                    # a null label arrives as NaN; add checks x before any state changes
-                    sim, drift = monitor.add(x, int(y), int(l))
-                except ValueError:
-                    rejected += 1
-                    continue
-                out_rows.append((key[0], seq, sim, drift))
+        for seq, x, y, l in zip(pdf["seq"], pdf["features"], pdf["y"], pdf["l"]):
+            seq = int(seq)
+            if monitor.last_seq is not None and seq <= monitor.last_seq:
+                continue  # already handled: a re-delivered row
+            monitor.last_seq = seq
+            try:
+                # a null label arrives as NaN, which int() rejects
+                row, y, l = monitor.check(x), int(y), int(l)
+            except ValueError:
+                rejected += 1
+                continue
+            seqs.append(seq)
+            rows.append(row)
+            ys.append(y)
+            ls.append(l)
         if rejected:
             log.warning("stream %s: dropped %d malformed rows in this batch",
                         key[0], rejected)
+        out = monitor.add_many(np.array(rows).reshape(-1, n_features), ys, ls)
         state.update((pickle.dumps(monitor),))
-        if out_rows:
-            yield pd.DataFrame(
-                out_rows, columns=["stream_id", "seq", "similarity", "drift"]
-            )
+        if out:
+            yield pd.DataFrame({
+                "stream_id": key[0],
+                "seq": seqs,
+                "similarity": [sim for sim, _ in out],
+                "drift": [drift for _, drift in out],
+            })
 
     return fn
 

@@ -181,6 +181,26 @@ class TestDriftMonitor:
         assert mon2.add(x, y, 0)[0] == mon.add(x, y, 0)[0]
 
 
+    def test_add_many_fingerprints_a_batch_in_one_call(self, monkeypatch):
+        """Every window a batch's periodic steps fingerprint comes from one
+        compute_fingerprint call, drifts inside a batch included."""
+        from repro.core import monitor as monm
+        from repro.streams.datasets import build_dataset
+
+        calls = []
+        compute = monm.compute_fingerprint
+        monkeypatch.setattr(monm, "compute_fingerprint",
+                            lambda *a, **k: calls.append(1) or compute(*a, **k))
+        ds = build_dataset("Synth_DAF", 1, length_scale=0.5)
+        mon = DriftMonitor(ds.n_features)
+        per_batch = []
+        for a in range(0, len(ds), 30):
+            calls.clear()
+            mon.add_many(ds.X[a:a + 30], ds.y[a:a + 30], ds.y[a:a + 30])
+            per_batch.append(len(calls))
+        assert mon.n_drifts > 0
+        assert max(per_batch) == 1 and per_batch[:2] == [0, 0]  # the first fingerprint is at observation 63
+
 #: rows a 3-feature stream must reject: a NaN would pin the normalizer's
 #: min/max for good, and a length-1 row would broadcast into a window row
 MALFORMED_ROWS = {

@@ -131,6 +131,24 @@ def test_fingerprint_with_tree_shapley_nonnegative():
     assert np.all(v[-3:] >= 0.0)
 
 
+@pytest.mark.parametrize("mode", ["all", "supervised", "unsupervised", "error_rate"])
+def test_stacked_windows_equal_single_calls(mode):
+    """A (m, w, d) stack of windows gives, row by row, the floats of one
+    call per window: every window's columns share one kernel call."""
+    from repro.streams.datasets import build_dataset
+
+    ds = build_dataset("Synth_DAF", 1, length_scale=0.5)
+    starts = np.array([0, 3, 51, 200, 203, 640, 1100])
+    idx = starts[:, None] + np.arange(50)
+    l = np.where(np.arange(len(ds)) % 7 == 0, (ds.y + 1) % ds.n_classes, ds.y)
+    s = FingerprintSchema(n_features=ds.n_features, source_mode=mode)
+    stacked = compute_fingerprint(ds.X[idx], ds.y[idx], l[idx], s)
+    assert stacked.shape == (len(starts), s.dim)
+    for k, a in enumerate(starts):
+        w = slice(a, a + 50)
+        assert np.array_equal(stacked[k], compute_fingerprint(ds.X[w], ds.y[w], l[w], s))
+
+
 class TestNormalizer:
     def test_first_vector_maps_to_half(self):
         n = Normalizer(3)

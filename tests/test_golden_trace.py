@@ -16,7 +16,9 @@ covers the raw bytes of a run's observable outputs:
   0.5) with upstream predictions wrong on every 7th row: the per-row
   (similarity, drift) series;
 - an unsupervised ``DriftMonitor`` fed ``Synth_D`` (seed 1,
-  length_scale 0.5): the per-row (similarity, drift) series;
+  length_scale 0.5): the per-row (similarity, drift) series. Both monitor
+  digests must also hold when the rows arrive through ``add_many`` in
+  batches of any size;
 - the Table VI baselines ``HTCD``, ``RCD``, ``DWM`` and ``ARF`` on
   (CMC, seed 1, length_scale 0.5), all 750 rows: the per-observation
   (prediction, model_id) pairs. CMC, not RBF, because HTCD and ARF
@@ -154,25 +156,51 @@ def test_mean_similarity_digest(mean_run):
     assert _sha(fed, flags) == MEAN_ADWIN_SHA, (len(fed), np.flatnonzero(flags).tolist())
 
 
+def _monitor_series(name: str, supervised: bool, batch: int | None = None):
+    """(similarity, drift) of a DriftMonitor fed ``name`` (seed 1,
+    length_scale 0.5) row by row through ``add``, or through ``add_many``
+    in batches of ``batch`` rows (0: the whole stream in one call).
+    Supervised, the upstream predictions are wrong on every 7th row;
+    unsupervised, ``add`` gets none and ``add_many`` gets the labels."""
+    ds = build_dataset(name, 1, length_scale=0.5)
+    mon = DriftMonitor(ds.n_features, supervised=supervised)
+    y = ds.y.astype(np.int64)
+    l = np.where(np.arange(len(ds)) % 7 == 0, (y + 1) % ds.n_classes, y) if supervised else y
+    if batch is None:
+        out = [mon.add(ds.X[i], int(y[i]), int(l[i]) if supervised else None)
+               for i in range(len(ds))]
+    else:
+        step = batch or len(ds)
+        out = [r for a in range(0, len(ds), step)
+               for r in mon.add_many(ds.X[a:a + step], y[a:a + step], l[a:a + step])]
+    sims = np.array([s for s, _ in out], dtype=np.float64)
+    flags = np.array([d for _, d in out], dtype=bool)
+    return sims, flags
+
+
+#: add_many batch sizes; 0 feeds the whole stream in one call
+BATCHES = (1, 7, 30, 64, 0)
+
+
 def test_monitor_digest():
-    ds = build_dataset("Synth_DAF", 1, length_scale=0.5)
-    mon = DriftMonitor(ds.n_features)
-    sims = np.empty(len(ds))
-    flags = np.zeros(len(ds), dtype=bool)
-    for i in range(len(ds)):
-        y = int(ds.y[i])
-        l = (y + 1) % ds.n_classes if i % 7 == 0 else y
-        sims[i], flags[i] = mon.add(ds.X[i], y, l)
+    sims, flags = _monitor_series("Synth_DAF", True)
     assert _sha(sims, flags) == MONITOR_SHA, np.flatnonzero(flags).tolist()
 
 
 def test_unsupervised_monitor_digest():
-    ds = build_dataset("Synth_D", 1, length_scale=0.5)
-    mon = DriftMonitor(ds.n_features, supervised=False)
-    sims = np.empty(len(ds))
-    flags = np.zeros(len(ds), dtype=bool)
-    for i in range(len(ds)):
-        sims[i], flags[i] = mon.add(ds.X[i], int(ds.y[i]))
+    sims, flags = _monitor_series("Synth_D", False)
+    assert _sha(sims, flags) == UNSUP_MONITOR_SHA, np.flatnonzero(flags).tolist()
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=lambda b: str(b or "all"))
+def test_monitor_digest_add_many(batch):
+    sims, flags = _monitor_series("Synth_DAF", True, batch)
+    assert _sha(sims, flags) == MONITOR_SHA, np.flatnonzero(flags).tolist()
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=lambda b: str(b or "all"))
+def test_unsupervised_monitor_digest_add_many(batch):
+    sims, flags = _monitor_series("Synth_D", False, batch)
     assert _sha(sims, flags) == UNSUP_MONITOR_SHA, np.flatnonzero(flags).tolist()
 
 

@@ -308,3 +308,52 @@ def test_stale_state_blob_is_rejected():
     fn = make_drift_fn(ds.n_features)
     with pytest.raises(ValueError, match="last_seq"):
         list(fn(("s0",), iter([_obs_pdf(ds, 90).iloc[60:]]), _group_state(blob)))
+
+
+def test_key_rows_split_across_frames_all_fed_in_seq_order():
+    """Spark may hand one key's rows in several frames; a later frame
+    holding lower seqs still has every row fed once, in seq order."""
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    n = 120
+    pdf = _obs_pdf(ds, n)
+    fn = make_drift_fn(ds.n_features)
+    out = pd.concat(list(fn(("s0",), iter([pdf.iloc[60:], pdf.iloc[:60]]), _group_state())))
+    _same_rows(list(zip(out.seq, out.similarity, out.drift)), range(n), _reference(ds, n))
+
+
+def test_malformed_row_on_a_tick_and_state_reloaded_between_uneven_batches():
+    """Micro-batches of 13, 30 and 47 rows, the state pickled and reloaded
+    between them, with malformed rows mid-batch where a periodic step
+    would fall: the outputs equal a per-row monitor fed the valid rows,
+    and the stored monitor carries no attribute a fresh one lacks."""
+    import pickle
+
+    from repro.core.monitor import DriftMonitor
+    from repro.sparkjobs.streaming import make_drift_fn
+
+    ds = build_dataset("Synth_D", 0, length_scale=0.6)
+    n = 810
+    pdf = _obs_pdf(ds, n)
+    feats = [list(f) for f in pdf.features]
+    # rows 62 and 156 would complete observations 63 and 156, both periodic
+    bad = (62, 156)
+    for r in bad:
+        feats[r][2] = float("inf")
+    pdf["features"] = feats
+    sizes = [13, 30, 47] * 9
+    edges = np.cumsum([0] + sizes)
+    assert edges[-1] == n and not {r for r in bad} & {*edges, *(edges - 1)}  # mid-batch
+    batches = [pdf.iloc[a:b] for a, b in zip(edges, edges[1:])]
+    out, blob = _feed(make_drift_fn(ds.n_features), batches)
+    assert [len(rows) for rows in out] == [s - sum(a <= r < a + s for r in bad)
+                                           for a, s in zip(edges, sizes)]
+
+    ref = DriftMonitor(ds.n_features)
+    good = [s for s in range(n) if s not in bad]
+    want = [ref.add(ds.X[s], int(ds.y[s]), int(ds.y[s])) for s in good]
+    _same_rows([r for rows in out for r in rows], good, want)
+    stored = pickle.loads(blob)
+    assert stored.i == ref.i == n - len(bad) and stored.n_drifts == ref.n_drifts > 0
+    assert stored.__dict__.keys() == DriftMonitor(ds.n_features).__dict__.keys()
