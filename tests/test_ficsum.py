@@ -189,8 +189,12 @@ class TestDriftMonitor:
 
         calls = []
         compute = monm.compute_fingerprint
-        monkeypatch.setattr(monm, "compute_fingerprint",
-                            lambda *a, **k: calls.append(1) or compute(*a, **k))
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(monm, "compute_fingerprint", counting)
         ds = build_dataset("Synth_DAF", 1, length_scale=0.5)
         mon = DriftMonitor(ds.n_features)
         per_batch = []
