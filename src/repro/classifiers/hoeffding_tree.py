@@ -19,8 +19,8 @@ A from-scratch Very Fast Decision Tree over numeric features:
   selection and the oracle discrimination do for every stored concept.
 
 The split search scores every feature's candidate thresholds in one
-array pass (``_candidate_gains``); ``_candidate_gain`` is its per-feature
-scalar reference.
+array pass (``_candidate_gains``); its per-feature scalar reference is
+``candidate_gain`` in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -163,41 +163,9 @@ class HoeffdingTree:
             self._try_split(leaf)
             leaf.total_at_attempt = st.total
 
-    def _candidate_gain(self, st: GaussianNB, feat: int) -> tuple[float, float]:
-        """Best (gain, threshold) for ``feat`` from the class Gaussians:
-        the scalar reference that :meth:`_candidate_gains` must equal."""
-        present = st.class_counts > 1
-        if present.sum() == 0:
-            return 0.0, 0.0
-        means = st.mean[present, feat]
-        stds = np.sqrt(st.m2[present, feat] / st.class_counts[present]) + _EPS
-        lo = float(np.min(means - 2 * stds))
-        hi = float(np.max(means + 2 * stds))
-        if hi - lo < _EPS:
-            return 0.0, 0.0
-        base = _entropy(st.class_counts)
-        best_gain, best_thr = 0.0, 0.0
-        counts = st.class_counts
-        total = counts.sum()
-        for thr in np.linspace(lo, hi, _N_CANDIDATES + 2)[1:-1]:
-            # P(x_feat <= thr | class) under the leaf Gaussian
-            z = (thr - st.mean[:, feat]) / (
-                np.sqrt(st.m2[:, feat] / np.maximum(counts, 1)) + _EPS
-            )
-            cdf = 0.5 * (1 + _erf(z / np.sqrt(2)))
-            left = counts * cdf
-            right = counts - left
-            lt, rt = left.sum(), right.sum()
-            if lt < 1 or rt < 1:
-                continue
-            gain = base - (lt / total) * _entropy(left) - (rt / total) * _entropy(right)
-            if gain > best_gain:
-                best_gain, best_thr = float(gain), float(thr)
-        return best_gain, best_thr
-
     def _candidate_gains(self, st: GaussianNB) -> list[tuple[float, float]]:
-        """:meth:`_candidate_gain` of every feature, equal to the
-        per-feature calls.
+        """Best (gain, threshold) of every feature from the class
+        Gaussians, equal to the per-feature scalar reference.
 
         The thresholds, the Gaussian CDFs and the left/right sums are
         computed for all (feature, threshold, class) at once, with the

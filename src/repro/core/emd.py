@@ -8,12 +8,13 @@ sifting uses linear-interpolated extrema envelopes instead. On the short
 oscillation modes the entropy feature consumes (see DESIGN.md
 substitution #4).
 
-The scalar functions (:func:`imfs`, :func:`imf_entropies`) decompose one
-sequence and are the reference. :func:`imf_entropies_matrix` decomposes
-every column of a window matrix at once — extrema masks over the whole
-array, one ``np.interp`` for all envelopes, row-wise stopping sums and
-histograms — and returns the same floats bit for bit
-(``tests/test_kernels_exact.py``).
+:func:`imf_entropies_matrix` decomposes every column of a fixed-length
+window at once — extrema masks over the whole array, one ``np.interp``
+for all envelopes, row-wise stopping sums and histograms — and equals
+the scalar :func:`imfs` / :func:`imf_entropies` bit for bit
+(``tests/test_kernels_exact.py``). The scalar path serves the one
+variable-length source, the error-distance sequence: on one short
+sequence it is faster than the batched path.
 """
 from __future__ import annotations
 
@@ -93,16 +94,10 @@ def imf_entropies(x: np.ndarray, n_imfs: int = 2, bins: int = 10) -> list[float]
     return out
 
 
-def imf_entropy(x: np.ndarray, k: int, bins: int = 10) -> float:
-    """Entropy of the k-th IMF (1-based); 0.0 when it does not exist."""
-    return imf_entropies(x, n_imfs=k, bins=bins)[k - 1]
-
-
 # ------------------------------------------------------------------ batched
 # The functions below run the decomposition above on every row of a
 # (k, n) array at once. Each row goes through exactly the arithmetic the
-# scalar functions apply to it, so results are bit-identical; the scalar
-# functions stay the reference.
+# scalar functions apply to it, so results are bit-identical.
 
 
 def _extrema_masks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -62,6 +62,9 @@ class FingerprintSchema:
     def __post_init__(self):
         if self.source_mode not in ("all", "supervised", "unsupervised", "error_rate"):
             raise ValueError(f"unknown source_mode {self.source_mode!r}")
+        for f in self.functions:
+            if f not in SEQUENCE_FUNCTIONS and f != "shapley":
+                raise ValueError(f"unknown function {f!r}")
 
     @property
     def seq_functions(self) -> list[str]:

@@ -1,10 +1,13 @@
 """Meta-information functions (Table I of the paper).
 
 Each function maps a univariate sequence (one *behaviour source* over a
-window) to a single float. The registry ``SEQUENCE_FUNCTIONS`` holds the
-12 sequence-based functions; the 13th (Shapley value) is classifier-
-derived and lives in ``classifiers.hoeffding_tree`` (see DESIGN.md
-substitution #3).
+window) to a single float. ``SEQUENCE_FUNCTIONS`` names the 12
+sequence-based functions with their Table V groups; the 13th (Shapley
+value) lives in ``classifiers.hoeffding_tree`` (DESIGN.md substitution #3).
+:func:`compute_feature_matrix` serves the fixed-length sources, one column
+each; :func:`compute_sequence_features` serves the one variable-length
+source, the error-distance sequence. Both are tested against the scalar
+references in ``tests/reference.py``.
 
 All functions are total: degenerate inputs (constant or too-short
 sequences) return a stable sentinel rather than NaN, so fingerprints are
@@ -12,104 +15,47 @@ always well-defined vectors.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.core.binning import histogramdd_bins
-from repro.core.emd import imf_entropies, imf_entropies_matrix, imf_entropy
+from repro.core.emd import imf_entropies, imf_entropies_matrix
 
 _EPS = 1e-12
 
+#: The 12 sequence-based meta-information functions in fingerprint order,
+#: each with its Table V group (acf1 + acf2 = "autocorrelation", ...).
+SEQUENCE_FUNCTIONS: dict[str, str] = {
+    "mean": "mean",
+    "std": "std",
+    "skew": "skew",
+    "kurtosis": "kurtosis",
+    "acf1": "autocorrelation",
+    "acf2": "autocorrelation",
+    "pacf1": "partial_autocorrelation",
+    "pacf2": "partial_autocorrelation",
+    "mutual_info": "mutual_info",
+    "turning_point_rate": "turning_point_rate",
+    "imf1_entropy": "imf_entropy",
+    "imf2_entropy": "imf_entropy",
+}
 
-def f_mean(x: np.ndarray) -> float:
-    return float(np.mean(x)) if len(x) else 0.0
-
-
-def f_std(x: np.ndarray) -> float:
-    return float(np.std(x)) if len(x) else 0.0
-
-
-def f_skew(x: np.ndarray) -> float:
-    if len(x) < 3:
-        return 0.0
-    s = np.std(x)
-    if s < _EPS:
-        return 0.0
-    return float(np.mean(((x - np.mean(x)) / s) ** 3))
-
-
-def f_kurtosis(x: np.ndarray) -> float:
-    """Excess kurtosis."""
-    if len(x) < 4:
-        return 0.0
-    s = np.std(x)
-    if s < _EPS:
-        return 0.0
-    return float(np.mean(((x - np.mean(x)) / s) ** 4) - 3.0)
+#: Table V's groups: the functions of each, plus the Shapley feature.
+FUNCTION_GROUPS: dict[str, list[str]] = {
+    g: [f for f, fg in SEQUENCE_FUNCTIONS.items() if fg == g]
+    for g in dict.fromkeys(SEQUENCE_FUNCTIONS.values())
+} | {"shapley": ["shapley"]}
 
 
-def _acf(x: np.ndarray, lag: int) -> float:
-    if len(x) <= lag + 1:
-        return 0.0
-    x = x - np.mean(x)
-    denom = float(np.dot(x, x))
-    if denom < _EPS:
-        return 0.0
-    return float(np.dot(x[:-lag], x[lag:]) / denom)
-
-
-def f_acf1(x: np.ndarray) -> float:
-    return _acf(x, 1)
-
-
-def f_acf2(x: np.ndarray) -> float:
-    return _acf(x, 2)
-
-
-def _pacf(x: np.ndarray, lag: int) -> float:
-    """Partial autocorrelation via Durbin–Levinson on sample ACF."""
-    if len(x) <= lag + 1:
-        return 0.0
-    r = np.array([1.0] + [_acf(x, k) for k in range(1, lag + 1)])
-    phi = np.zeros((lag + 1, lag + 1))
-    phi[1, 1] = r[1]
-    for k in range(2, lag + 1):
-        num = r[k] - np.dot(phi[k - 1, 1:k], r[1:k][::-1])
-        den = 1.0 - np.dot(phi[k - 1, 1:k], r[1:k])
-        phi[k, k] = num / den if abs(den) > _EPS else 0.0
-        for j in range(1, k):
-            phi[k, j] = phi[k - 1, j] - phi[k, k] * phi[k - 1, k - j]
-    return float(np.clip(phi[lag, lag], -1.0, 1.0))
-
-
-def f_pacf1(x: np.ndarray) -> float:
-    return _pacf(x, 1)
-
-
-def f_pacf2(x: np.ndarray) -> float:
-    return _pacf(x, 2)
-
-
-def f_mutual_info(x: np.ndarray, bins: int = 6) -> float:
-    """Lag-1 self mutual information (nats) — temporal dependence."""
-    if len(x) < 3 or np.ptp(x) < _EPS:
-        return 0.0
-    a, b = x[:-1], x[1:]
-    joint, _, _ = np.histogram2d(a, b, bins=bins)
-    n = joint.sum()
-    if n == 0:
-        return 0.0
-    pxy = joint / n
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    mask = pxy > 0
-    return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px @ py)[mask])))
+def f_mutual_info(x: np.ndarray) -> float:
+    """Lag-1 self mutual information (nats) of one sequence: the
+    one-column :func:`mutual_info_matrix`, exact at k = 1."""
+    return mutual_info_matrix(np.asarray(x, dtype=float)[:, None])[0]
 
 
 def mutual_info_matrix(M: np.ndarray, bins: int = 6) -> np.ndarray:
-    """:func:`f_mutual_info` of every column of the (w, k) window ``M``,
-    bit-identical to calling it per column.
+    """Lag-1 self mutual information (nats) of every column of the (w, k)
+    window ``M``, bit-identical per column to the ``np.histogram2d``
+    reference in ``tests/reference.py``.
 
     All columns' joint histograms come from one ``np.bincount`` over
     (column, bin of x[t], bin of x[t+1]); probabilities and log terms are
@@ -143,86 +89,71 @@ def mutual_info_matrix(M: np.ndarray, bins: int = 6) -> np.ndarray:
     return out
 
 
-def f_turning_point_rate(x: np.ndarray) -> float:
-    """Fraction of interior points that are local extrema."""
-    if len(x) < 3:
-        return 0.0
-    d1 = np.sign(np.diff(x[:-1]))
-    d2 = np.sign(np.diff(x[1:]))
-    turning = (d1 * d2) < 0
-    return float(np.mean(turning))
-
-
-def f_imf1_entropy(x: np.ndarray) -> float:
-    return imf_entropy(np.asarray(x, dtype=float), 1) if len(x) >= 8 else 0.0
-
-
-def f_imf2_entropy(x: np.ndarray) -> float:
-    return imf_entropy(np.asarray(x, dtype=float), 2) if len(x) >= 8 else 0.0
-
-
-#: Ordered registry of the 12 sequence-based meta-information functions.
-SEQUENCE_FUNCTIONS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": f_mean,
-    "std": f_std,
-    "skew": f_skew,
-    "kurtosis": f_kurtosis,
-    "acf1": f_acf1,
-    "acf2": f_acf2,
-    "pacf1": f_pacf1,
-    "pacf2": f_pacf2,
-    "mutual_info": f_mutual_info,
-    "turning_point_rate": f_turning_point_rate,
-    "imf1_entropy": f_imf1_entropy,
-    "imf2_entropy": f_imf2_entropy,
-}
-
-#: Table V groups functions by concept (acf1+acf2 = "Autocorrelation", ...).
-FUNCTION_GROUPS: dict[str, list[str]] = {
-    "mean": ["mean"],
-    "std": ["std"],
-    "skew": ["skew"],
-    "kurtosis": ["kurtosis"],
-    "autocorrelation": ["acf1", "acf2"],
-    "partial_autocorrelation": ["pacf1", "pacf2"],
-    "mutual_info": ["mutual_info"],
-    "turning_point_rate": ["turning_point_rate"],
-    "imf_entropy": ["imf1_entropy", "imf2_entropy"],
-    "shapley": ["shapley"],
-}
-
-
 def compute_sequence_features(
     x: np.ndarray, functions: list[str] | None = None
 ) -> np.ndarray:
-    """Apply the named sequence functions (default: all 12) to ``x``."""
+    """The named functions (default: all 12) of one sequence ``x`` of any
+    length, in one pass that computes only what they need.
+
+    One mean serves every function, one standard deviation the moments,
+    and ``acf1``/``acf2`` divide by one ``den``; PACF at lags 1 and 2 is
+    closed-form Durbin-Levinson on them. Both IMF entropies come from one
+    scalar decomposition (``emd.imf_entropies``), which beats the batched
+    EMD on a single short sequence.
+    """
     names = list(functions) if functions is not None else list(SEQUENCE_FUNCTIONS)
+    unknown = [f for f in names if f not in SEQUENCE_FUNCTIONS]
+    if unknown:
+        raise ValueError(f"unknown function {unknown[0]!r}")
+    want = set(names)
     x = np.asarray(x, dtype=float)
-    batched = {}
-    if "imf1_entropy" in names and "imf2_entropy" in names:
-        # one decomposition for both, as imf_entropy(x, 1) and (x, 2) would
-        # sift the first mode twice
-        e = imf_entropies(x, 2) if len(x) >= 8 else [0.0, 0.0]
-        batched = {"imf1_entropy": e[0], "imf2_entropy": e[1]}
-    if "mutual_info" in names:
-        # the one-column batched kernel: equal to f_mutual_info, and faster
-        batched["mutual_info"] = mutual_info_matrix(x[:, None])[0]
-    return np.array([batched[n] if n in batched else SEQUENCE_FUNCTIONS[n](x) for n in names])
+    n = len(x)
+    v = dict.fromkeys(want, 0.0)
+    if n:
+        v["mean"] = mean = np.mean(x)
+    if n and want & {"std", "skew", "kurtosis"}:
+        v["std"] = s = np.std(x)
+        if n >= 3 and not s < _EPS:
+            z = (x - mean) / s
+            if "skew" in want:
+                v["skew"] = np.mean(z**3)
+            if "kurtosis" in want and n >= 4:
+                v["kurtosis"] = np.mean(z**4) - 3.0
+    if n > 2 and want & {"acf1", "acf2", "pacf1", "pacf2"}:
+        c = x - mean
+        den = np.dot(c, c)
+        if not den < _EPS:
+            r1 = v["acf1"] = np.dot(c[:-1], c[1:]) / den
+            v["pacf1"] = np.clip(r1, -1.0, 1.0)
+            if n > 3:
+                r2 = v["acf2"] = np.dot(c[:-2], c[2:]) / den
+                d = 1.0 - r1 * r1
+                v["pacf2"] = np.clip((r2 - r1 * r1) / d if abs(d) > _EPS else 0.0, -1.0, 1.0)
+    if "mutual_info" in want:
+        v["mutual_info"] = f_mutual_info(x)
+    if "turning_point_rate" in want and n >= 3:
+        d1 = np.sign(np.diff(x[:-1]))
+        d2 = np.sign(np.diff(x[1:]))
+        v["turning_point_rate"] = np.mean((d1 * d2) < 0)
+    if want & {"imf1_entropy", "imf2_entropy"} and n >= 8:
+        v["imf1_entropy"], v["imf2_entropy"] = imf_entropies(x, 2)
+    return np.array([v[name] for name in names], dtype=float)
 
 
 def compute_feature_matrix(
     M: np.ndarray, functions: list[str] | None = None
 ) -> np.ndarray:
-    """Vectorized fast path: the named functions over every column of the
-    (w, k) matrix ``M`` at once. Returns (k, n_functions) in the same
-    order as :func:`compute_sequence_features` (tested equivalent).
+    """The named functions over every column of the (w, k) matrix ``M``
+    at once, for the fixed-length sources. Returns (k, n_functions), in
+    the order of ``functions``.
 
     Moments, ACF, PACF (closed-form Durbin–Levinson for lags 1–2) and
-    turning-point rate are fully columnwise. Mutual information and the
-    IMF entropies run batched kernels over all columns at once
-    (:func:`mutual_info_matrix`, ``emd.imf_entropies_matrix``), which are
-    bit-identical to :func:`f_mutual_info` and ``emd.imf_entropies`` per
-    column; both IMF entropies share one decomposition.
+    turning-point rate are fully columnwise; they equal the scalar
+    references in ``tests/reference.py`` to a tolerance, as column sums
+    round differently. Mutual information and the IMF entropies run
+    batched kernels over all columns at once (:func:`mutual_info_matrix`,
+    ``emd.imf_entropies_matrix``), which equal those references bit for
+    bit per column; both IMF entropies share one decomposition.
     """
     names = list(functions) if functions is not None else list(SEQUENCE_FUNCTIONS)
     # Row-major, so each column's sums run in row order whatever the input's
@@ -264,7 +195,7 @@ def compute_feature_matrix(
         elif name == "pacf1":
             out[:, j] = np.clip(r1, -1.0, 1.0)
         elif name == "pacf2":
-            if w > 3:  # as f_pacf2, 0 on 3 rows or fewer
+            if w > 3:  # 0 on 3 rows or fewer, as in the scalar path
                 den = 1.0 - r1**2
                 out[:, j] = np.clip(
                     np.where(np.abs(den) > 1e-12, (r2 - r1**2) / np.where(np.abs(den) > 1e-12, den, 1.0), 0.0),

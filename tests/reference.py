@@ -1,0 +1,192 @@
+"""Scalar reference implementations that the package's kernels must equal.
+
+Each function computes one value the straightforward way, one sequence,
+feature or call at a time. The package computes the same values in
+batched or single-pass form:
+
+- the 12 ``f_*`` functions of Table I (``FUNCTIONS``, in fingerprint
+  order) against ``meta_features.compute_sequence_features`` and
+  ``compute_feature_matrix``;
+- :func:`f_mutual_info`, the ``np.histogram2d`` form, against
+  ``meta_features.mutual_info_matrix``;
+- :func:`imf_entropy` (the k-th mode alone) against
+  ``emd.imf_entropies``;
+- :func:`candidate_gain` (one feature's best split) against
+  ``HoeffdingTree._candidate_gains``.
+
+The tests compare them with ``np.array_equal`` or exact equality unless
+they say otherwise.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from repro.classifiers.hoeffding_tree import _EPS as _TREE_EPS
+from repro.classifiers.hoeffding_tree import _N_CANDIDATES, _entropy, _erf
+from repro.core.emd import imf_entropies
+
+_EPS = 1e-12
+
+
+def f_mean(x: np.ndarray) -> float:
+    return float(np.mean(x)) if len(x) else 0.0
+
+
+def f_std(x: np.ndarray) -> float:
+    return float(np.std(x)) if len(x) else 0.0
+
+
+def f_skew(x: np.ndarray) -> float:
+    if len(x) < 3:
+        return 0.0
+    s = np.std(x)
+    if s < _EPS:
+        return 0.0
+    return float(np.mean(((x - np.mean(x)) / s) ** 3))
+
+
+def f_kurtosis(x: np.ndarray) -> float:
+    """Excess kurtosis."""
+    if len(x) < 4:
+        return 0.0
+    s = np.std(x)
+    if s < _EPS:
+        return 0.0
+    return float(np.mean(((x - np.mean(x)) / s) ** 4) - 3.0)
+
+
+def _acf(x: np.ndarray, lag: int) -> float:
+    if len(x) <= lag + 1:
+        return 0.0
+    x = x - np.mean(x)
+    denom = float(np.dot(x, x))
+    if denom < _EPS:
+        return 0.0
+    return float(np.dot(x[:-lag], x[lag:]) / denom)
+
+
+def f_acf1(x: np.ndarray) -> float:
+    return _acf(x, 1)
+
+
+def f_acf2(x: np.ndarray) -> float:
+    return _acf(x, 2)
+
+
+def _pacf(x: np.ndarray, lag: int) -> float:
+    """Partial autocorrelation via Durbin–Levinson on sample ACF."""
+    if len(x) <= lag + 1:
+        return 0.0
+    r = np.array([1.0] + [_acf(x, k) for k in range(1, lag + 1)])
+    phi = np.zeros((lag + 1, lag + 1))
+    phi[1, 1] = r[1]
+    for k in range(2, lag + 1):
+        num = r[k] - np.dot(phi[k - 1, 1:k], r[1:k][::-1])
+        den = 1.0 - np.dot(phi[k - 1, 1:k], r[1:k])
+        phi[k, k] = num / den if abs(den) > _EPS else 0.0
+        for j in range(1, k):
+            phi[k, j] = phi[k - 1, j] - phi[k, k] * phi[k - 1, k - j]
+    return float(np.clip(phi[lag, lag], -1.0, 1.0))
+
+
+def f_pacf1(x: np.ndarray) -> float:
+    return _pacf(x, 1)
+
+
+def f_pacf2(x: np.ndarray) -> float:
+    return _pacf(x, 2)
+
+
+def f_mutual_info(x: np.ndarray, bins: int = 6) -> float:
+    """Lag-1 self mutual information (nats) — temporal dependence."""
+    if len(x) < 3 or np.ptp(x) < _EPS:
+        return 0.0
+    a, b = x[:-1], x[1:]
+    joint, _, _ = np.histogram2d(a, b, bins=bins)
+    n = joint.sum()
+    if n == 0:
+        return 0.0
+    pxy = joint / n
+    px = pxy.sum(axis=1, keepdims=True)
+    py = pxy.sum(axis=0, keepdims=True)
+    mask = pxy > 0
+    return float(np.sum(pxy[mask] * np.log(pxy[mask] / (px @ py)[mask])))
+
+
+def f_turning_point_rate(x: np.ndarray) -> float:
+    """Fraction of interior points that are local extrema."""
+    if len(x) < 3:
+        return 0.0
+    d1 = np.sign(np.diff(x[:-1]))
+    d2 = np.sign(np.diff(x[1:]))
+    turning = (d1 * d2) < 0
+    return float(np.mean(turning))
+
+
+def imf_entropy(x: np.ndarray, k: int, bins: int = 10) -> float:
+    """Entropy of the k-th IMF (1-based); 0.0 when it does not exist."""
+    return imf_entropies(x, n_imfs=k, bins=bins)[k - 1]
+
+
+def f_imf1_entropy(x: np.ndarray) -> float:
+    return imf_entropy(np.asarray(x, dtype=float), 1) if len(x) >= 8 else 0.0
+
+
+def f_imf2_entropy(x: np.ndarray) -> float:
+    return imf_entropy(np.asarray(x, dtype=float), 2) if len(x) >= 8 else 0.0
+
+
+#: The 12 sequence functions, in ``meta_features.SEQUENCE_FUNCTIONS`` order.
+FUNCTIONS = {
+    "mean": f_mean,
+    "std": f_std,
+    "skew": f_skew,
+    "kurtosis": f_kurtosis,
+    "acf1": f_acf1,
+    "acf2": f_acf2,
+    "pacf1": f_pacf1,
+    "pacf2": f_pacf2,
+    "mutual_info": f_mutual_info,
+    "turning_point_rate": f_turning_point_rate,
+    "imf1_entropy": f_imf1_entropy,
+    "imf2_entropy": f_imf2_entropy,
+}
+
+
+def sequence_features(x: np.ndarray, functions=None) -> np.ndarray:
+    """The named reference functions (default: all 12) of ``x``."""
+    return np.array([FUNCTIONS[f](x) for f in (FUNCTIONS if functions is None else functions)])
+
+
+def candidate_gain(st, feat: int) -> tuple[float, float]:
+    """Best (gain, threshold) for ``feat`` from the class Gaussians of the
+    leaf statistics ``st`` (a ``GaussianNB``): the scalar reference that
+    ``HoeffdingTree._candidate_gains`` must equal."""
+    present = st.class_counts > 1
+    if present.sum() == 0:
+        return 0.0, 0.0
+    means = st.mean[present, feat]
+    stds = np.sqrt(st.m2[present, feat] / st.class_counts[present]) + _TREE_EPS
+    lo = float(np.min(means - 2 * stds))
+    hi = float(np.max(means + 2 * stds))
+    if hi - lo < _TREE_EPS:
+        return 0.0, 0.0
+    base = _entropy(st.class_counts)
+    best_gain, best_thr = 0.0, 0.0
+    counts = st.class_counts
+    total = counts.sum()
+    for thr in np.linspace(lo, hi, _N_CANDIDATES + 2)[1:-1]:
+        # P(x_feat <= thr | class) under the leaf Gaussian
+        z = (thr - st.mean[:, feat]) / (
+            np.sqrt(st.m2[:, feat] / np.maximum(counts, 1)) + _TREE_EPS
+        )
+        cdf = 0.5 * (1 + _erf(z / np.sqrt(2)))
+        left = counts * cdf
+        right = counts - left
+        lt, rt = left.sum(), right.sum()
+        if lt < 1 or rt < 1:
+            continue
+        gain = base - (lt / total) * _entropy(left) - (rt / total) * _entropy(right)
+        if gain > best_gain:
+            best_gain, best_thr = float(gain), float(thr)
+    return best_gain, best_thr

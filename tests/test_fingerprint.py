@@ -3,6 +3,7 @@ online concept fingerprint."""
 import numpy as np
 import pytest
 
+from repro.core.ficsum import FiCSUM, FicsumConfig
 from repro.core.fingerprint import (
     ConceptFingerprint,
     FingerprintSchema,
@@ -40,6 +41,16 @@ def test_schema_dim_error_rate():
 def test_schema_rejects_unknown_mode():
     with pytest.raises(ValueError):
         FingerprintSchema(n_features=2, source_mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["all", "error_rate"])
+def test_schema_rejects_unknown_function(mode):
+    """A misspelt function fails at construction, also under error_rate,
+    whose fingerprint never calls a function."""
+    with pytest.raises(ValueError, match="'meen'"):
+        FingerprintSchema(n_features=2, source_mode=mode, functions=("meen",))
+    with pytest.raises(ValueError, match="'meen'"):
+        FiCSUM(2, 2, FicsumConfig(source_mode=mode, functions=("mean", "meen")))
 
 
 def test_schema_function_subset():

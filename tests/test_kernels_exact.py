@@ -1,12 +1,18 @@
-"""The batched kernels equal their scalar references exactly.
+"""The batched kernels and the one-pass sequence path equal their scalar
+references exactly.
 
 ``mutual_info_matrix``, ``imf_entropies_matrix`` and
 ``feature_contributions_batch`` replace per-column and per-row loops over
-``f_mutual_info``, ``imf_entropies`` and ``feature_contributions``. They
-must give the same floats (``np.array_equal``, not a tolerance) on every
-window, so fingerprints, similarities and drift decisions do not move.
-The Hoeffding tree's ``predict_batch`` and ``_candidate_gains`` likewise
-replace per-row ``predict`` and per-feature ``_candidate_gain`` calls.
+the ``np.histogram2d`` ``f_mutual_info`` (``tests/reference.py``), the
+package's scalar ``emd.imf_entropies`` and ``feature_contributions``.
+``compute_sequence_features``, which serves the variable-length
+error_dist source in one pass, replaces the 12 per-function ``f_*`` of
+``tests/reference.py``. They must give the same floats
+(``np.array_equal``, not a tolerance) on every window, so fingerprints,
+similarities and drift decisions do not move. The Hoeffding tree's
+``predict_batch`` and ``_candidate_gains`` likewise replace per-row
+``predict`` and per-feature ``candidate_gain`` (``tests/reference.py``)
+calls.
 ``compute_fingerprint`` scores a stack of labellings of one window in one
 ``compute_feature_matrix`` call, which relies on that call's columns not
 depending on each other, and ``DriftMonitor`` reuses an earlier F_A as
@@ -21,6 +27,7 @@ from repro.core import emd
 from repro.core import meta_features as mf
 from repro.core.binning import histogram_bins, histogramdd_bins, linspace_rows
 from repro.streams.datasets import build_dataset
+from tests import reference as ref
 
 WIDTHS = (8, 9, 50, 75)
 N_WINDOWS = 320
@@ -86,7 +93,7 @@ WINDOWS = range(N_WINDOWS)
 @pytest.mark.parametrize("i", WINDOWS)
 def test_mutual_info_matrix_exact(i):
     M = _window(i)
-    want = np.array([mf.f_mutual_info(M[:, c]) for c in range(M.shape[1])])
+    want = np.array([ref.f_mutual_info(M[:, c]) for c in range(M.shape[1])])
     assert np.array_equal(mf.mutual_info_matrix(M), want)
 
 
@@ -118,7 +125,7 @@ def test_feature_matrix_uses_exact_kernels():
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 7])
 def test_kernels_on_short_windows(w):
     M = np.random.default_rng(w).standard_normal((w, 3))
-    want_mi = np.array([mf.f_mutual_info(M[:, c]) for c in range(3)])
+    want_mi = np.array([ref.f_mutual_info(M[:, c]) for c in range(3)])
     want_imf = np.array([emd.imf_entropies(M[:, c]) for c in range(3)])
     assert np.array_equal(mf.mutual_info_matrix(M), want_mi)
     assert np.array_equal(emd.imf_entropies_matrix(M), want_imf)
@@ -129,7 +136,7 @@ def test_kernels_reject_non_finite(bad):
     M = np.random.default_rng(0).standard_normal((20, 2))
     M[5, 1] = bad
     with pytest.raises(ValueError):
-        mf.f_mutual_info(M[:, 1])
+        ref.f_mutual_info(M[:, 1])
     with pytest.raises(ValueError):
         mf.mutual_info_matrix(M)
     with pytest.raises(ValueError):
@@ -139,14 +146,20 @@ def test_kernels_reject_non_finite(bad):
 
 
 def test_sequence_features_single_decomposition():
-    """error_dist style sequences: one imf_entropies call serves both IMF
-    functions, with the values the per-function path gives."""
+    """The one-pass error_dist path equals the per-function references bit
+    for bit (one imf_entropies call serves both IMF functions): on
+    error-distance sequences and integer sequences of every length 0-60,
+    for all 12 functions, each Table V group and a reordered subset."""
     g = np.random.default_rng(5)
-    for n in (0, 3, 8, 20, 49):
-        x = g.integers(1, 6, n).astype(float)
-        got = mf.compute_sequence_features(x)
-        want = np.array([f(x) for f in mf.SEQUENCE_FUNCTIONS.values()])
-        assert np.array_equal(got, want)
+    seqs = _error_dist_sequences() + [g.integers(1, 6, n).astype(float) for n in range(61)]
+    # each mi:<group> run's sequence functions (none for "shapley")
+    subsets = [None, ["std", "mean"]] + [
+        [f for f in fs if f in mf.SEQUENCE_FUNCTIONS] for fs in mf.FUNCTION_GROUPS.values()]
+    for x in seqs:
+        for names in subsets:
+            got = mf.compute_sequence_features(x, names)
+            want = ref.sequence_features(x, names)
+            assert np.array_equal(got, want), (x, names)
 
 
 def _error_dist_sequences() -> list[np.ndarray]:
@@ -179,7 +192,7 @@ def test_sequence_features_mutual_info_exact_on_error_distances():
     nonzero = 0
     for x in seqs:
         got = mf.compute_sequence_features(x)
-        want = mf.f_mutual_info(x)
+        want = ref.f_mutual_info(x)
         assert np.array_equal(got[j], want), x
         assert np.array_equal(mf.compute_sequence_features(x, ["mutual_info"]), [want])
         nonzero += want != 0.0
@@ -553,7 +566,7 @@ def _gains_hex(gains) -> list[tuple[str, str]]:
 
 
 def _assert_gains_exact(tree: HoeffdingTree, st: GaussianNB, got=None) -> None:
-    want = [tree._candidate_gain(st, f) for f in range(tree.n_features)]
+    want = [ref.candidate_gain(st, f) for f in range(tree.n_features)]
     if got is None:
         got = tree._candidate_gains(st)
     assert got == want
