@@ -11,15 +11,14 @@ import numpy as np
 from repro.classifiers.hoeffding_tree import HoeffdingTree
 from repro.detectors.adwin import ADWIN
 
-_DELTA = 0.002       # ADWIN's δ over the 0/1 errors
-_GRACE_PERIOD = 30   # the tree's observations between split attempts
+_DELTA = 0.002  # ADWIN's δ over the 0/1 errors
 
 
 class HTCD:
     def __init__(self, n_features: int, n_classes: int):
         self.n_features = n_features
         self.n_classes = n_classes
-        self.tree = HoeffdingTree(n_features, n_classes, grace_period=_GRACE_PERIOD)
+        self.tree = HoeffdingTree(n_features, n_classes)
         self.detector = ADWIN(delta=_DELTA)
         self.model_id = 0
         self.n_drifts = 0
@@ -30,7 +29,6 @@ class HTCD:
         if self.detector.add(float(pred != y)):
             self.n_drifts += 1
             self.model_id += 1
-            self.tree = HoeffdingTree(self.n_features, self.n_classes,
-                                      grace_period=_GRACE_PERIOD)
+            self.tree = HoeffdingTree(self.n_features, self.n_classes)
             self.detector.reset()
         return pred, self.model_id

@@ -22,6 +22,7 @@ from repro.classifiers.hoeffding_tree import HoeffdingTree
 from repro.detectors.eddm import EDDM
 
 _BUFFER = 100
+_KS_ALPHA = 0.005  # family-wise level of the per-feature KS tests
 
 
 def _ks_stat(a: np.ndarray, b: np.ndarray) -> float:
@@ -32,10 +33,10 @@ def _ks_stat(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def buffers_match(a: np.ndarray, b: np.ndarray, alpha: float = 0.005) -> bool:
-    """True iff no feature's KS test rejects at Bonferroni-corrected alpha."""
+def buffers_match(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff no feature's KS test rejects at Bonferroni-corrected ``_KS_ALPHA``."""
     d = a.shape[1]
-    alpha_c = alpha / d
+    alpha_c = _KS_ALPHA / d
     # asymptotic KS critical value
     c = np.sqrt(-0.5 * np.log(alpha_c / 2.0))
     crit = c * np.sqrt((len(a) + len(b)) / (len(a) * len(b)))

@@ -11,16 +11,17 @@ A from-scratch Very Fast Decision Tree over numeric features:
 - ``growth_events`` counter so FiCSUM can detect "the tree learned a new
   branch" and reset classifier-dependent fingerprint dimensions
   (Section IV plasticity);
-- ``feature_contributions`` (per row) and ``feature_contributions_batch``
-  (per window) — Saabas-style path attribution used as the
-  Shapley-value meta-information feature (DESIGN.md substitution #3);
+- ``feature_contributions`` of a window — Saabas-style path attribution
+  used as the Shapley-value meta-information feature (DESIGN.md
+  substitution #3);
 - ``predict`` (per row) and ``predict_batch`` (per window, bit-identical
   to the per-row calls) — the latter relabels a whole window, as model
   selection and the oracle discrimination do for every stored concept.
 
-The split search scores every feature's candidate thresholds in one
-array pass (``_candidate_gains``); its per-feature scalar reference is
-``candidate_gain`` in ``tests/reference.py``.
+``predict_batch`` and ``feature_contributions`` share one routing walk
+(``_route``); the split search scores every feature's thresholds in one
+array pass (``_candidate_gains``). Their scalar references (per-row
+attribution and path, per-feature split) are in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -64,27 +65,20 @@ class _Node:
 class HoeffdingTree:
     """Incremental VFDT classifier.
 
-    Parameters mirror the MOA/scikit-multiflow defaults the paper uses:
-    ``grace_period`` observations between split attempts, split
-    confidence ``delta``, and tie threshold ``tau``.
+    The split settings are the MOA/scikit-multiflow defaults the paper
+    uses (Domingos & Hulten, KDD 2000). Only ``grace_period``, the
+    observations between split attempts, is set per tree: ARF's trees
+    use 50.
     """
 
-    def __init__(
-        self,
-        n_features: int,
-        n_classes: int,
-        *,
-        grace_period: int = 30,
-        delta: float = 0.01,
-        tau: float = 0.15,
-        max_depth: int = 12,
-    ):
+    delta = 0.01    # split confidence of the Hoeffding bound
+    tau = 0.15      # tie threshold
+    max_depth = 12
+
+    def __init__(self, n_features: int, n_classes: int, *, grace_period: int = 30):
         self.n_features = n_features
         self.n_classes = n_classes
         self.grace_period = grace_period
-        self.delta = delta
-        self.tau = tau
-        self.max_depth = max_depth
         self.root = _Node(GaussianNB(n_features, n_classes), depth=0)
         self.growth_events = 0
 
@@ -95,12 +89,19 @@ class HoeffdingTree:
             node = node.left if x[node.split_feature] <= node.threshold else node.right
         return node
 
-    def _path(self, x: np.ndarray) -> list[_Node]:
-        node, path = self.root, [self.root]
-        while not node.is_leaf:
-            node = node.left if x[node.split_feature] <= node.threshold else node.right
-            path.append(node)
-        return path
+    def _route(self, X: np.ndarray):
+        """Route every row of ``X`` down the tree together: yield
+        ``(node, rows, parent)`` for every node some row reaches, each
+        parent before its children (``parent`` is None at the root)."""
+        stack = [(self.root, np.arange(len(X)), None)]
+        while stack:
+            node, rows, parent = stack.pop()
+            yield node, rows, parent
+            if not node.is_leaf:
+                left = X[rows, node.split_feature] <= node.threshold
+                for child, sub in ((node.left, rows[left]), (node.right, rows[~left])):
+                    if sub.size:
+                        stack.append((child, sub, node))
 
     # --------------------------------------------------------------- predict
     def _leaf_proba(self, leaf: _Node, x: np.ndarray) -> np.ndarray:
@@ -131,23 +132,12 @@ class HoeffdingTree:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """:meth:`predict` of every row of ``X`` as an int array, equal to
-        the per-row calls.
-
-        All rows are routed down the tree together, as in
-        :meth:`feature_contributions_batch`; each leaf scores its rows as
-        one block (:meth:`_leaf_proba_batch`).
-        """
+        the per-row calls: each leaf that :meth:`_route` reaches scores its
+        rows as one block (:meth:`_leaf_proba_batch`)."""
         out = np.zeros(len(X), dtype=np.intp)
-        stack = [(self.root, np.arange(len(X)))]
-        while stack:
-            node, rows = stack.pop()
+        for node, rows, _ in self._route(X):
             if node.is_leaf:
                 out[rows] = np.argmax(self._leaf_proba_batch(node, X[rows]), axis=1)
-                continue
-            left = X[rows, node.split_feature] <= node.threshold
-            for child, sub in ((node.left, rows[left]), (node.right, rows[~left])):
-                if sub.size:
-                    stack.append((child, sub))
         return out
 
     # ----------------------------------------------------------------- train
@@ -225,50 +215,24 @@ class HoeffdingTree:
             self.growth_events += 1
 
     # ------------------------------------------------------------ importance
-    def feature_contributions(self, x: np.ndarray) -> np.ndarray:
-        """Saabas path attribution: |Δ max-class-probability| per feature.
+    def feature_contributions(self, X: np.ndarray) -> np.ndarray:
+        """Saabas path attribution of every row of the window ``X``: a
+        (len(X), n_features) array of |Δ class distribution|/2 per feature.
 
-        Walking root→leaf, the change in the predicted class distribution
-        at each split is attributed to the split feature. The window-mean
-        of these vectors is FiCSUM's Shapley-value meta-feature.
-        """
-        contrib = np.zeros(self.n_features)
-        path = self._path(x)
-        prev = path[0].stats.class_counts
-        prev_p = prev / prev.sum() if prev.sum() > 0 else np.full(self.n_classes, 1 / self.n_classes)
-        for parent, child in zip(path[:-1], path[1:]):
-            cc = child.stats.class_counts
-            cur_p = cc / cc.sum() if cc.sum() > 0 else prev_p
-            contrib[parent.split_feature] += float(np.abs(cur_p - prev_p).sum()) / 2
-            prev_p = cur_p
-        return contrib
-
-    def feature_contributions_batch(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`feature_contributions` of every row of ``X``, as a
-        (len(X), n_features) array bit-identical to stacking the per-row
-        calls.
-
-        All rows are routed down the tree together, node by node; each
-        edge's |Δp|/2 is computed once and added to the rows that take
-        it, in root→leaf order as the per-row walk adds it.
+        Walking root→leaf, the change in the class distribution at each
+        split is attributed to the split feature; a node that has seen
+        nothing keeps its parent's distribution, and the root's parent
+        is uniform. Each edge's change is computed once and added to the
+        rows that take it, in root→leaf order (:meth:`_route`). The
+        window-mean of the rows is FiCSUM's Shapley-value meta-feature.
         """
         contrib = np.zeros((len(X), self.n_features))
-        cc = self.root.stats.class_counts
-        p = cc / cc.sum() if cc.sum() > 0 else np.full(self.n_classes, 1 / self.n_classes)
-        stack = [(self.root, np.arange(len(X)), p)]
-        while stack:
-            node, rows, prev_p = stack.pop()
-            if node.is_leaf:
-                continue
-            feat = node.split_feature
-            left = X[rows, feat] <= node.threshold
-            for child, sub in ((node.left, rows[left]), (node.right, rows[~left])):
-                if not sub.size:
-                    continue
-                cc = child.stats.class_counts
-                cur_p = cc / cc.sum() if cc.sum() > 0 else prev_p
-                contrib[sub, feat] += float(np.abs(cur_p - prev_p).sum()) / 2
-                stack.append((child, sub, cur_p))
+        p = {None: np.full(self.n_classes, 1 / self.n_classes)}
+        for node, rows, parent in self._route(X):
+            cc = node.stats.class_counts
+            p[node] = cc / cc.sum() if cc.sum() > 0 else p[parent]
+            if parent is not None:
+                contrib[rows, parent.split_feature] += float(np.abs(p[node] - p[parent]).sum()) / 2
         return contrib
 
 

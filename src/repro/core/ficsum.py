@@ -37,9 +37,9 @@ class FicsumConfig:
     """The fingerprint a FiCSUM variant uses (Tables III–V).
 
     Every other setting is a constant: the detection loop's are
-    :class:`DriftMonitor`'s, the tree's are ``HoeffdingTree``'s defaults
-    (grace period 30, depth 12), and the repository's and model
-    selection's are the class constants below.
+    :class:`DriftMonitor`'s, the tree's are ``HoeffdingTree``'s class
+    constants and default grace period of 30, and the repository's and
+    model selection's are the class constants below.
     """
 
     source_mode: str = "all"       # all | supervised | unsupervised | error_rate

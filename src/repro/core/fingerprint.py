@@ -122,7 +122,7 @@ def compute_fingerprint(
 ) -> np.ndarray:
     """Raw (unnormalized) fingerprint of window (X, y, l) under ``schema``.
 
-    ``tree`` must provide ``feature_contributions_batch(X)`` when the schema's
+    ``tree`` must provide ``feature_contributions(X)`` when the schema's
     shapley feature is enabled; pass None to emit zeros there (e.g. the
     classifier-free streaming path).
 
@@ -188,7 +188,7 @@ def shapley_dims(X: np.ndarray, schema: FingerprintSchema, tree) -> np.ndarray:
     ``tree``'s per-row feature contributions, zeros without a tree."""
     if tree is None:
         return np.zeros(schema.n_features)
-    return np.mean(tree.feature_contributions_batch(X), axis=0)
+    return np.mean(tree.feature_contributions(X), axis=0)
 
 
 class Normalizer:

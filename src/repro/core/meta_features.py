@@ -21,6 +21,7 @@ from repro.core.binning import histogramdd_bins
 from repro.core.emd import imf_entropies, imf_entropies_matrix
 
 _EPS = 1e-12
+_MI_BINS = 6  # equal-width bins per axis of the lag-1 joint histogram
 
 #: The 12 sequence-based meta-information functions in fingerprint order,
 #: each with its Table V group (acf1 + acf2 = "autocorrelation", ...).
@@ -52,15 +53,15 @@ def f_mutual_info(x: np.ndarray) -> float:
     return mutual_info_matrix(np.asarray(x, dtype=float)[:, None])[0]
 
 
-def mutual_info_matrix(M: np.ndarray, bins: int = 6) -> np.ndarray:
+def mutual_info_matrix(M: np.ndarray) -> np.ndarray:
     """Lag-1 self mutual information (nats) of every column of the (w, k)
     window ``M``, bit-identical per column to the ``np.histogram2d``
     reference in ``tests/reference.py``.
 
     All columns' joint histograms come from one ``np.bincount`` over
     (column, bin of x[t], bin of x[t+1]); probabilities and log terms are
-    computed for the whole (k, bins, bins) block. Only the final masked
-    sum runs per column, so it keeps numpy's summation order.
+    computed for the whole (k, _MI_BINS, _MI_BINS) block. Only the final
+    masked sum runs per column, so it keeps numpy's summation order.
     """
     M = np.asarray(M, dtype=float)
     w, k = M.shape
@@ -74,11 +75,11 @@ def mutual_info_matrix(M: np.ndarray, bins: int = 6) -> np.ndarray:
     T = np.ascontiguousarray(M[:, live].T)
     if not np.isfinite(T).all():
         raise ValueError("mutual information of a non-finite sequence")
-    ia = histogramdd_bins(T[:, :-1], bins)
-    ib = histogramdd_bins(T[:, 1:], bins)
-    cell = (np.arange(live.size)[:, None] * bins + ia) * bins + ib
-    joint = np.bincount(cell.ravel(), minlength=live.size * bins * bins)
-    pxy = joint.reshape(live.size, bins, bins) / float(w - 1)
+    ia = histogramdd_bins(T[:, :-1], _MI_BINS)
+    ib = histogramdd_bins(T[:, 1:], _MI_BINS)
+    cell = (np.arange(live.size)[:, None] * _MI_BINS + ia) * _MI_BINS + ib
+    joint = np.bincount(cell.ravel(), minlength=live.size * _MI_BINS**2)
+    pxy = joint.reshape(live.size, _MI_BINS, _MI_BINS) / float(w - 1)
     px = pxy.sum(axis=2, keepdims=True)
     py = pxy.sum(axis=1, keepdims=True)
     mask = pxy > 0

@@ -60,14 +60,15 @@ class RBFLabeler:
     discriminant is the labelling function.
     """
 
-    def __init__(self, n_features: int, n_classes: int, base_seed: int,
-                 concept_seed: int, n_centroids: int = 12):
+    n_centroids = 12
+
+    def __init__(self, n_features: int, n_classes: int, base_seed: int, concept_seed: int):
         self.n_features = n_features
         self.n_classes = n_classes
         g = np.random.default_rng(base_seed)
-        self.centroids = g.random((n_centroids, n_features))
+        self.centroids = g.random((self.n_centroids, n_features))
         gc = np.random.default_rng(concept_seed)
-        base = np.arange(n_centroids) % n_classes
+        base = np.arange(self.n_centroids) % n_classes
         self.classes = gc.permutation(base)
 
     def label(self, u: np.ndarray) -> int:
@@ -78,16 +79,15 @@ class RBFLabeler:
 class RandomTreeLabeler:
     """Random binary decision tree over [0,1]^d (scikit-multiflow style)."""
 
-    def __init__(self, n_features: int, n_classes: int, seed: int, depth: int = 2):
+    min_depth = 2
+
+    def __init__(self, n_features: int, n_classes: int, seed: int):
         self.n_features = n_features
         self.n_classes = n_classes
         # leaves must cover all classes; shallow trees keep concepts
         # learnable at our scaled segment lengths (see EXPERIMENTS.md)
-        depth = max(depth, int(np.ceil(np.log2(max(n_classes, 2)))))
+        depth = max(self.min_depth, int(np.ceil(np.log2(max(n_classes, 2)))))
         g = np.random.default_rng(seed)
-        self.feats: list[int] = []
-        self.thrs: list[float] = []
-        self.leaves: np.ndarray
         n_internal = 2**depth - 1
         self.feats = list(g.integers(0, n_features, n_internal))
         self.thrs = list(g.random(n_internal) * 0.6 + 0.2)

@@ -12,7 +12,10 @@ batched or single-pass form:
 - :func:`imf_entropy` (the k-th mode alone) against
   ``emd.imf_entropies``;
 - :func:`candidate_gain` (one feature's best split) against
-  ``HoeffdingTree._candidate_gains``.
+  ``HoeffdingTree._candidate_gains``;
+- :func:`feature_contributions` (one row's path attribution, walking
+  :func:`path`) against ``HoeffdingTree.feature_contributions`` of a
+  window.
 
 The tests compare them with ``np.array_equal`` or exact equality unless
 they say otherwise.
@@ -190,3 +193,31 @@ def candidate_gain(st, feat: int) -> tuple[float, float]:
         if gain > best_gain:
             best_gain, best_thr = float(gain), float(thr)
     return best_gain, best_thr
+
+
+def path(tree, x: np.ndarray) -> list:
+    """The nodes of ``tree`` (a ``HoeffdingTree``) that row ``x`` passes,
+    root to leaf."""
+    node, out = tree.root, [tree.root]
+    while not node.is_leaf:
+        node = node.left if x[node.split_feature] <= node.threshold else node.right
+        out.append(node)
+    return out
+
+
+def feature_contributions(tree, x: np.ndarray) -> np.ndarray:
+    """Saabas path attribution of one row: walking root→leaf, each
+    split's |Δ class distribution|/2 is added to the split feature; a
+    node that has seen nothing keeps its parent's distribution, and an
+    empty root scores uniform."""
+    contrib = np.zeros(tree.n_features)
+    nodes = path(tree, x)
+    prev = nodes[0].stats.class_counts
+    prev_p = (prev / prev.sum() if prev.sum() > 0
+              else np.full(tree.n_classes, 1 / tree.n_classes))
+    for parent, child in zip(nodes[:-1], nodes[1:]):
+        cc = child.stats.class_counts
+        cur_p = cc / cc.sum() if cc.sum() > 0 else prev_p
+        contrib[parent.split_feature] += float(np.abs(cur_p - prev_p).sum()) / 2
+        prev_p = cur_p
+    return contrib

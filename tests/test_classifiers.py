@@ -72,8 +72,8 @@ def test_hoeffding_tree_contributions_shape_and_sign():
     tree = HoeffdingTree(3, 2)
     for i in range(len(X)):
         tree.partial_fit(X[i], int(y[i]))
-    c = tree.feature_contributions(X[0])
-    assert c.shape == (3,)
+    c = tree.feature_contributions(X[:1])  # a one-row window
+    assert c.shape == (1, 3)
     assert np.all(c >= 0)
     if tree.growth_events:
         assert c.sum() >= 0

@@ -2,9 +2,11 @@
 references exactly.
 
 ``mutual_info_matrix``, ``imf_entropies_matrix`` and
-``feature_contributions_batch`` replace per-column and per-row loops over
-the ``np.histogram2d`` ``f_mutual_info`` (``tests/reference.py``), the
-package's scalar ``emd.imf_entropies`` and ``feature_contributions``.
+``HoeffdingTree.feature_contributions`` replace per-column and per-row
+loops over the ``np.histogram2d`` ``f_mutual_info``
+(``tests/reference.py``), the package's scalar ``emd.imf_entropies`` and
+the per-row path attribution ``feature_contributions``
+(``tests/reference.py``).
 ``compute_sequence_features``, which serves the variable-length
 error_dist source in one pass, replaces the 12 per-function ``f_*`` of
 ``tests/reference.py``. They must give the same floats
@@ -249,7 +251,7 @@ def _reference_fingerprint(X, y, l, schema, tree) -> np.ndarray:
             error_distance_sequence(errors), schema.seq_functions))
     if schema.use_shapley:
         parts.append(np.zeros(schema.n_features) if tree is None
-                     else tree.feature_contributions_batch(X).mean(axis=0))
+                     else np.stack([ref.feature_contributions(tree, x) for x in X]).mean(axis=0))
     return np.concatenate(parts)
 
 
@@ -406,8 +408,9 @@ def test_row_binning_matches_numpy_histograms():
 def _random_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
     g = np.random.default_rng(seed)
     d, n_classes = int(g.integers(1, 8)), int(g.integers(2, 5))
-    tree = HoeffdingTree(d, n_classes, grace_period=int(g.integers(5, 40)),
-                         tau=float(g.uniform(0.05, 0.5)), max_depth=int(g.integers(1, 12)))
+    tree = HoeffdingTree(d, n_classes, grace_period=int(g.integers(5, 40)))
+    # per-tree split settings, drawn to vary the trees' shapes
+    tree.tau, tree.max_depth = float(g.uniform(0.05, 0.5)), int(g.integers(1, 12))
     n = int(g.integers(0, 700))
     X = g.random((n, d))
     coef = g.standard_normal(d)
@@ -421,12 +424,12 @@ def _random_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
 @pytest.mark.parametrize("seed", range(60))
 def test_feature_contributions_batch_exact(seed):
     tree, W = _random_tree(seed)
-    want = np.stack([tree.feature_contributions(x) for x in W])
-    got = tree.feature_contributions_batch(W)
+    want = np.stack([ref.feature_contributions(tree, x) for x in W])
+    got = tree.feature_contributions(W)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.mean(got, axis=0),
-                          np.mean([tree.feature_contributions(x) for x in W], axis=0))
+                          np.mean([ref.feature_contributions(tree, x) for x in W], axis=0))
 
 
 def test_feature_contributions_batch_fresh_split():
@@ -441,8 +444,8 @@ def test_feature_contributions_batch_fresh_split():
             break
     assert tree.growth_events
     W = g.random((30, 2))
-    want = np.stack([tree.feature_contributions(x) for x in W])
-    assert np.array_equal(tree.feature_contributions_batch(W), want)
+    want = np.stack([ref.feature_contributions(tree, x) for x in W])
+    assert np.array_equal(tree.feature_contributions(W), want)
 
 
 def test_feature_contributions_batch_on_window_rows():
@@ -451,8 +454,8 @@ def test_feature_contributions_batch_on_window_rows():
     for j in range(600):
         tree.partial_fit(ds.X[j], int(ds.y[j]))
     W = ds.X[600:650]
-    want = np.stack([tree.feature_contributions(x) for x in W])
-    assert np.array_equal(tree.feature_contributions_batch(W), want)
+    want = np.stack([ref.feature_contributions(tree, x) for x in W])
+    assert np.array_equal(tree.feature_contributions(W), want)
 
 
 # ------------------------------------------------------------ tree predict
@@ -485,8 +488,9 @@ def _predict_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
 def _build_predict_tree(seed: int) -> tuple[HoeffdingTree, np.ndarray]:
     g = np.random.default_rng([seed, 31])
     d, n_classes = int(g.integers(1, 41)), int(g.integers(2, 13))
-    tree = HoeffdingTree(d, n_classes, grace_period=int(g.integers(5, 40)),
-                         tau=float(g.uniform(0.05, 0.5)), max_depth=int(g.integers(1, 12)))
+    tree = HoeffdingTree(d, n_classes, grace_period=int(g.integers(5, 40)))
+    # per-tree split settings, drawn to vary the trees' shapes
+    tree.tau, tree.max_depth = float(g.uniform(0.05, 0.5)), int(g.integers(1, 12))
     n = 0 if seed % 10 == 0 else int(g.integers(1, 900))
     X = g.standard_normal((n, d)) * g.uniform(0.1, 10, d)
     score = X @ g.standard_normal(d)
@@ -533,7 +537,7 @@ def test_predict_batch_covers_leaf_kinds():
         for x in W:
             kinds |= _leaf_kinds(tree, tree._sort(x))
             on_threshold += any(x[p.split_feature] == p.threshold
-                                for p in tree._path(x)[:-1])
+                                for p in ref.path(tree, x)[:-1])
     assert kinds == {"empty", "majority_young", "naive_bayes", "nc0", "nc1"}
     assert on_threshold > 0
 
