@@ -19,9 +19,13 @@ A from-scratch Very Fast Decision Tree over numeric features:
   selection and the oracle discrimination do for every stored concept.
 
 ``predict_batch`` and ``feature_contributions`` share one routing walk
-(``_route``); the split search scores every feature's thresholds in one
-array pass (``_candidate_gains``). Their scalar references (per-row
-attribution and path, per-feature split) are in ``tests/reference.py``.
+(``_route``). A leaf scores a row and a block of rows with one
+naive-Bayes scorer (``GaussianNB``), whose running ``total`` replaces a
+sum of its class counts. The split search scores every feature's
+thresholds, and both children of every candidate, in one array pass
+(``_candidate_gains``, with ``_entropies``). Their scalar references
+(per-row attribution, path and leaf score, per-feature split, per-class
+naive Bayes) are in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -40,6 +44,22 @@ def _entropy(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
+
+
+def _entropies(V: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """:func:`_entropy` of every row of ``V``, given each row's positive
+    sum ``totals``. Rows are grouped by their number of positive entries,
+    and each group's positive entries are summed over a contiguous last
+    axis: zeros left in place would shift numpy's pairwise grouping from
+    8 entries on."""
+    pos = V > 0
+    k = np.count_nonzero(pos, axis=1)
+    out = np.empty(len(V))
+    for n in np.unique(k):
+        rows = k == n
+        p = V[pos & rows[:, None]].reshape(-1, n) / totals[rows, None]
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
 
 
 class _Node:
@@ -85,7 +105,7 @@ class HoeffdingTree:
     # ------------------------------------------------------------------ sort
     def _sort(self, x: np.ndarray) -> _Node:
         node = self.root
-        while not node.is_leaf:
+        while node.split_feature is not None:  # not node.is_leaf, without the call
             node = node.left if x[node.split_feature] <= node.threshold else node.right
         return node
 
@@ -160,13 +180,14 @@ class HoeffdingTree:
         The thresholds, the Gaussian CDFs and the left/right sums are
         computed for all (feature, threshold, class) at once, with the
         same elementwise steps, row-wise ``np.linspace`` and per-candidate
-        sums over the contiguous class axis; the entropies and the strict
-        first-maximum scan stay per candidate.
+        sums over the contiguous class axis. Both children's entropies of
+        every candidate come from one :func:`_entropies` pass, and each
+        feature's strict first maximum from one ``argmax``.
         """
         counts = st.class_counts
         present = counts > 1
         n_feat = self.n_features
-        if present.sum() == 0:
+        if not present.any():
             return [(0.0, 0.0)] * n_feat
         means = st.mean[present]
         stds = np.sqrt(st.m2[present] / counts[present, None]) + _EPS
@@ -182,21 +203,20 @@ class HoeffdingTree:
         right = counts - left
         lts, rts = left.sum(axis=2), right.sum(axis=2)
         base = _entropy(counts)
-        total = counts.sum()
-        out = []
-        for f in range(n_feat):
-            best_gain, best_thr = 0.0, 0.0
-            if live[f]:
-                for t in range(_N_CANDIDATES):
-                    lt, rt = lts[f, t], rts[f, t]
-                    if lt < 1 or rt < 1:
-                        continue
-                    gain = (base - (lt / total) * _entropy(left[f, t])
-                            - (rt / total) * _entropy(right[f, t]))
-                    if gain > best_gain:
-                        best_gain, best_thr = float(gain), float(thr[f, t])
-            out.append((best_gain, best_thr))
-        return out
+        total = st.total
+        # candidates with at least one observation on each side
+        valid = live[:, None] & (lts >= 1) & (rts >= 1)
+        m = np.count_nonzero(valid)
+        lv, rv = lts[valid], rts[valid]
+        h = _entropies(np.concatenate([left[valid], right[valid]]), np.concatenate([lv, rv]))
+        gain = np.zeros((n_feat, _N_CANDIDATES))
+        gain[valid] = base - (lv / total) * h[:m] - (rv / total) * h[m:]
+        # each feature's strict first maximum above 0, as a scan would keep it
+        best = np.argmax(gain, axis=1)
+        rows = np.arange(n_feat)
+        best_gain, best_thr = gain[rows, best], thr[rows, best]
+        return [(float(g), float(t)) if g > 0 else (0.0, 0.0)
+                for g, t in zip(best_gain, best_thr)]
 
     def _try_split(self, leaf: _Node) -> None:
         st = leaf.stats

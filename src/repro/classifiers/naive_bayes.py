@@ -2,13 +2,24 @@
 
 Used standalone as the DWM expert, and as the statistics and scorer of
 every Hoeffding-tree leaf. Per-class, per-feature running Gaussian
-statistics via Welford updates; O(d) per observation.
+statistics via Welford updates, and a running observation count
+(``total``); O(d) per observation.
+
+One scorer serves a row (:meth:`GaussianNB.predict_proba`) and a block
+of rows (:meth:`GaussianNB.predict_proba_batch`): each class's
+log-likelihood is a sum over the contiguous last axis of a
+``(C, d)`` block per row, grouped as numpy groups a 1-D sum, and
+class masks keep the prior alone for classes seen fewer than twice.
+It is bit-identical to the per-class loop ``naive_bayes_proba`` in
+``tests/reference.py``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _EPS = 1e-9
+# the ufunc reductions behind ndarray.sum / ndarray.max, without their wrappers
+_sum, _max = np.add.reduce, np.maximum.reduce
 
 
 class GaussianNB:
@@ -18,64 +29,49 @@ class GaussianNB:
         self.n_features = n_features
         self.n_classes = n_classes
         self.class_counts = np.zeros(n_classes)
+        # ``class_counts.sum()``, kept exactly: a sum of integer-valued
+        # floats is exact below 2**53
+        self.total = 0.0
         # Welford per (class, feature)
         self.mean = np.zeros((n_classes, n_features))
         self.m2 = np.zeros((n_classes, n_features))
 
-    @property
-    def total(self) -> float:
-        return float(self.class_counts.sum())
-
     def partial_fit(self, x: np.ndarray, y: int) -> None:
         self.class_counts[y] += 1
+        self.total += 1.0
         n = self.class_counts[y]
-        delta = x - self.mean[y]
-        self.mean[y] += delta / n
-        self.m2[y] += delta * (x - self.mean[y])
+        mean, m2 = self.mean[y], self.m2[y]  # views, updated in place
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities of a row ``(d,)`` or a block ``(n, d)``:
+        the prior of every seen class (-inf for the others), less half the
+        Gaussian log-likelihood sum for every class seen at least twice,
+        normalised over the last axis."""
+        counts, total = self.class_counts, self.total
+        if total == 0:
+            return np.full(X.shape[:-1] + (self.n_classes,), 1.0 / self.n_classes)
+        prior = np.log(counts / total, out=np.full(self.n_classes, -np.inf), where=counts > 0)
+        # every class's (d,) row, so the sums run over a contiguous last axis
+        # of a (C, d) or (n, C, d) block; classes seen fewer than twice keep
+        # their prior
+        var = self.m2 / np.maximum(counts, 1)[:, None] + _EPS
+        terms = np.log(2 * np.pi * var) + (X[..., None, :] - self.mean) ** 2 / var
+        log_p = np.where(counts >= 2, prior - 0.5 * _sum(terms, axis=-1), prior)
+        log_p -= _max(log_p, axis=-1, keepdims=True)
+        p = np.exp(log_p)
+        return p / _sum(p, axis=-1, keepdims=True)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        total = self.total
-        if total == 0:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        log_p = np.full(self.n_classes, -np.inf)
-        for c in range(self.n_classes):
-            nc = self.class_counts[c]
-            if nc == 0:
-                continue
-            prior = np.log(nc / total)
-            if nc < 2:
-                log_p[c] = prior
-                continue
-            var = self.m2[c] / nc + _EPS
-            log_p[c] = prior - 0.5 * np.sum(
-                np.log(2 * np.pi * var) + (x - self.mean[c]) ** 2 / var
-            )
-        log_p -= log_p.max()
-        p = np.exp(log_p)
-        return p / p.sum()
+        return self._proba(x)
 
     def predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
         """:meth:`predict_proba` of every row of ``X``, as a
         (len(X), n_classes) block bit-identical to stacking the per-row
-        calls: the same elementwise steps, with each per-row sum a
-        reduction over the contiguous last axis (numpy's pairwise sum,
-        grouped as for a 1-D array)."""
-        total = self.total
-        if total == 0:
-            return np.full((len(X), self.n_classes), 1.0 / self.n_classes)
-        log_p = np.full((len(X), self.n_classes), -np.inf)
-        counts = self.class_counts
-        seen = counts > 0
-        log_p[:, seen] = np.log(counts[seen] / total)  # the prior; nc >= 2 adds the Gaussian term
-        nb = np.flatnonzero(counts >= 2)
-        if nb.size:
-            nc = counts[nb]
-            var = self.m2[nb] / nc[:, None] + _EPS
-            terms = np.log(2 * np.pi * var) + (X[:, None, :] - self.mean[nb]) ** 2 / var
-            log_p[:, nb] -= 0.5 * terms.sum(axis=2)
-        log_p -= log_p.max(axis=1, keepdims=True)
-        p = np.exp(log_p)
-        return p / p.sum(axis=1, keepdims=True)
+        calls."""
+        return self._proba(X)
 
     def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict_proba(x)))
+        return int(np.argmax(self._proba(x)))

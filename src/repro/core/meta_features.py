@@ -40,6 +40,11 @@ SEQUENCE_FUNCTIONS: dict[str, str] = {
     "imf2_entropy": "imf_entropy",
 }
 
+# what compute_feature_matrix computes only when a requested function needs it
+_ACF = {"acf1", "acf2", "pacf1", "pacf2"}
+_CENTRED = {"std", "skew", "kurtosis"} | _ACF
+_MOMENTS = {"mean"} | _CENTRED
+
 #: Table V's groups: the functions of each, plus the Shapley feature.
 FUNCTION_GROUPS: dict[str, list[str]] = {
     g: [f for f, fg in SEQUENCE_FUNCTIONS.items() if fg == g]
@@ -154,9 +159,12 @@ def compute_feature_matrix(
     round differently. Mutual information and the IMF entropies run
     batched kernels over all columns at once (:func:`mutual_info_matrix`,
     ``emd.imf_entropies_matrix``), which equal those references bit for
-    bit per column; both IMF entropies share one decomposition.
+    bit per column; both IMF entropies share one decomposition. Only
+    what the named functions need is computed: ``["mean"]`` takes one
+    column mean.
     """
     names = list(functions) if functions is not None else list(SEQUENCE_FUNCTIONS)
+    want = set(names)
     # Row-major, so each column's sums run in row order whatever the input's
     # layout (a Fortran-ordered M would take numpy's pairwise summation) and
     # a column's results do not depend on the other columns. The exception
@@ -164,21 +172,28 @@ def compute_feature_matrix(
     M = np.ascontiguousarray(M, dtype=float)
     w, k = M.shape
     out = np.zeros((k, len(names)))
-    mean = M.mean(axis=0)
-    Mc = M - mean
-    var = (Mc**2).mean(axis=0)
-    std = np.sqrt(var)
-    ok = std > 1e-12
-    sstd = np.where(ok, std, 1.0)
-    denom = (Mc**2).sum(axis=0)
-    sdenom = np.where(denom > 1e-12, denom, 1.0)
+    if want & _MOMENTS:
+        mean = M.mean(axis=0)
+    if want & _CENTRED:
+        Mc = M - mean
+        sq = Mc**2
+        var = sq.mean(axis=0)
+        std = np.sqrt(var)
+        ok = std > 1e-12
+        sstd = np.where(ok, std, 1.0)
+    if want & _ACF:
+        denom = sq.sum(axis=0)
+        sdenom = np.where(denom > 1e-12, denom, 1.0)
 
     def acf(lag: int) -> np.ndarray:
         if w <= lag + 1:
             return np.zeros(k)
         return np.where(ok, (Mc[:-lag] * Mc[lag:]).sum(axis=0) / sdenom, 0.0)
 
-    r1, r2 = acf(1), acf(2)
+    if want & {"acf1", "pacf1", "pacf2"}:
+        r1 = acf(1)
+    if want & {"acf2", "pacf2"}:
+        r2 = acf(2)
     imf = None  # both IMF entropies come from one decomposition
     for j, name in enumerate(names):
         if name == "mean":

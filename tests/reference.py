@@ -15,7 +15,11 @@ batched or single-pass form:
   ``HoeffdingTree._candidate_gains``;
 - :func:`feature_contributions` (one row's path attribution, walking
   :func:`path`) against ``HoeffdingTree.feature_contributions`` of a
-  window.
+  window;
+- :func:`naive_bayes_proba` (one row, one class at a time) against
+  ``GaussianNB.predict_proba`` and ``predict_proba_batch``, and
+  :func:`tree_proba` (one row's leaf score, walking :func:`path`)
+  against ``HoeffdingTree.predict`` and ``predict_batch``.
 
 The tests compare them with ``np.array_equal`` or exact equality unless
 they say otherwise.
@@ -26,6 +30,7 @@ import numpy as np
 
 from repro.classifiers.hoeffding_tree import _EPS as _TREE_EPS
 from repro.classifiers.hoeffding_tree import _N_CANDIDATES, _entropy, _erf
+from repro.classifiers.naive_bayes import _EPS as _NB_EPS
 from repro.core.emd import imf_entropies
 
 _EPS = 1e-12
@@ -221,3 +226,38 @@ def feature_contributions(tree, x: np.ndarray) -> np.ndarray:
         contrib[parent.split_feature] += float(np.abs(cur_p - prev_p).sum()) / 2
         prev_p = cur_p
     return contrib
+
+
+def naive_bayes_proba(st, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of one row ``x`` under the naive-Bayes
+    statistics ``st`` (a ``GaussianNB``), one class at a time: the prior
+    of every seen class, plus the Gaussian log-likelihood of every class
+    seen at least twice; uniform before any observation."""
+    total = st.class_counts.sum()
+    if total == 0:
+        return np.full(st.n_classes, 1.0 / st.n_classes)
+    log_p = np.full(st.n_classes, -np.inf)
+    for c in range(st.n_classes):
+        nc = st.class_counts[c]
+        if nc == 0:
+            continue
+        prior = np.log(nc / total)
+        if nc < 2:
+            log_p[c] = prior
+            continue
+        var = st.m2[c] / nc + _NB_EPS
+        log_p[c] = prior - 0.5 * np.sum(np.log(2 * np.pi * var) + (x - st.mean[c]) ** 2 / var)
+    log_p -= log_p.max()
+    p = np.exp(log_p)
+    return p / p.sum()
+
+
+def tree_proba(tree, x: np.ndarray) -> np.ndarray:
+    """The class distribution that ``tree`` (a ``HoeffdingTree``) scores
+    row ``x`` with at its leaf: the leaf's class frequencies while it has
+    seen fewer than 2·C observations, otherwise its naive Bayes score."""
+    st = path(tree, x)[-1].stats
+    total = st.class_counts.sum()
+    if 0 < total < 2 * tree.n_classes:
+        return st.class_counts / total
+    return naive_bayes_proba(st, x)

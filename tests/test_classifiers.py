@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.classifiers.ensembles import ARF, DWM
 from repro.classifiers.hoeffding_tree import HoeffdingTree, _erf
 from repro.classifiers.naive_bayes import GaussianNB
+from tests import reference as ref
 
 
 def _blobs(n, d, k, seed=0, sep=3.0):
@@ -101,9 +102,30 @@ def test_gaussian_nb_proba_valid(seed):
     nb = GaussianNB(3, 2)
     for _ in range(g.integers(0, 20)):
         nb.partial_fit(g.standard_normal(3), int(g.integers(0, 2)))
-    p = nb.predict_proba(g.standard_normal(3))
+    x = g.standard_normal(3)
+    p = nb.predict_proba(x)
     assert p.sum() == pytest.approx(1.0)
     assert np.all(p >= 0)
+    assert np.array_equal(p, ref.naive_bayes_proba(nb, x))
+
+
+@pytest.mark.parametrize("d", [1, 3, 9, 40, 150])
+def test_gaussian_nb_proba_exact(d):
+    """One row and a block of rows score as the per-class reference loop,
+    bit for bit, from the first observation on (classes unseen, seen once
+    and seen often; 2-12 classes; from 9 features on numpy sums pairwise)."""
+    g = np.random.default_rng(d)
+    for n_classes in (2, 4, 12):
+        nb = GaussianNB(d, n_classes)
+        W = g.standard_normal((20, d)) * 3
+        for _ in range(60):
+            want = np.stack([ref.naive_bayes_proba(nb, x) for x in W])
+            assert np.array_equal(nb.predict_proba_batch(W), want)
+            for x, p in zip(W, want):
+                assert np.array_equal(nb.predict_proba(x), p)
+                assert nb.predict(x) == np.argmax(p)
+            y = min(int(g.exponential(2)), n_classes - 1)  # rare classes stay unseen longer
+            nb.partial_fit(g.standard_normal(d) + y, y)
 
 
 def test_dwm_learns_and_single_model_id():

@@ -12,9 +12,11 @@ error_dist source in one pass, replaces the 12 per-function ``f_*`` of
 ``tests/reference.py``. They must give the same floats
 (``np.array_equal``, not a tolerance) on every window, so fingerprints,
 similarities and drift decisions do not move. The Hoeffding tree's
-``predict_batch`` and ``_candidate_gains`` likewise replace per-row
-``predict`` and per-feature ``candidate_gain`` (``tests/reference.py``)
-calls.
+``predict``, ``predict_batch`` and ``_candidate_gains`` likewise equal
+the per-row ``tree_proba`` (a per-class naive-Bayes loop at the leaf)
+and the per-feature ``candidate_gain`` (``tests/reference.py``), and
+``GaussianNB`` keeps its running ``total`` equal to its class counts'
+sum.
 ``compute_fingerprint`` scores a stack of labellings of one window in one
 ``compute_feature_matrix`` call, which relies on that call's columns not
 depending on each other, and ``DriftMonitor`` reuses an earlier F_A as
@@ -230,6 +232,21 @@ def test_feature_matrix_column_count_invariant():
         extra = [_column(KINDS[g.integers(len(KINDS))], w, g) for _ in range(g.integers(1, 6))]
         sup = mf.compute_feature_matrix(np.column_stack([M, *extra]))
         assert np.array_equal(sup[:k], full)
+
+
+def test_feature_matrix_computes_only_requested():
+    """Each mi:<group> run's functions, each function alone and a
+    reordered subset give the all-functions call's columns, on windows of
+    every kind and on windows of 1-7 rows."""
+    order = list(mf.SEQUENCE_FUNCTIONS)
+    subsets = [[f for f in fs if f in mf.SEQUENCE_FUNCTIONS] for fs in mf.FUNCTION_GROUPS.values()]
+    subsets = [fs for fs in subsets if fs] + [[f] for f in order] + [["pacf2", "mean", "acf2"]]
+    short = [np.random.default_rng(w).standard_normal((w, 3)) for w in range(1, 8)]
+    for M in [_window(i) for i in range(0, N_WINDOWS, 5)] + short:
+        full = mf.compute_feature_matrix(M)
+        for names in subsets:
+            cols = [order.index(f) for f in names]
+            assert np.array_equal(mf.compute_feature_matrix(M, names), full[:, cols]), names
 
 
 # ------------------------------------------------ stacked fingerprints
@@ -518,14 +535,19 @@ PREDICT_SEEDS = range(80)
 @pytest.mark.parametrize("seed", PREDICT_SEEDS)
 def test_predict_batch_exact(seed):
     tree, W = _predict_tree(seed)
-    want = np.array([tree.predict(x) for x in W])
+    want_p = np.stack([ref.tree_proba(tree, x) for x in W])
+    want = np.argmax(want_p, axis=1)
     got = tree.predict_batch(W)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    for leaf in {id(tree._sort(x)): tree._sort(x) for x in W}.values():
-        rows = W[[tree._sort(x) is leaf for x in W]]
-        block = tree._leaf_proba_batch(leaf, rows)
-        assert np.array_equal(block, np.stack([tree._leaf_proba(leaf, x) for x in rows]))
+    assert [tree.predict(x) for x in W] == want.tolist()
+    for x, p in zip(W, want_p):
+        assert np.array_equal(tree.predict_proba(x), p)
+    leaves = {id(ref.path(tree, x)[-1]): ref.path(tree, x)[-1] for x in W}
+    for leaf in leaves.values():
+        rows = [j for j, x in enumerate(W) if ref.path(tree, x)[-1] is leaf]
+        block = tree._leaf_proba_batch(leaf, W[rows])
+        assert np.array_equal(block, want_p[rows])
 
 
 def test_predict_batch_covers_leaf_kinds():
@@ -546,14 +568,14 @@ def test_predict_batch_empty_and_fresh():
     tree = HoeffdingTree(3, 4)
     assert np.array_equal(tree.predict_batch(np.zeros((0, 3))), np.zeros(0, np.intp))
     W = np.random.default_rng(0).random((6, 3))
-    assert np.array_equal(tree.predict_batch(W), [tree.predict(x) for x in W])
+    assert np.array_equal(tree.predict_batch(W), [np.argmax(ref.tree_proba(tree, x)) for x in W])
     tree, W = _predict_tree(3)
     assert tree.predict_batch(W[:0]).shape == (0,)
 
 
 def test_predict_batch_does_not_call_predict(monkeypatch):
     tree, W = _predict_tree(7)
-    want = np.array([tree.predict(x) for x in W])
+    want = np.array([np.argmax(ref.tree_proba(tree, x)) for x in W])
 
     def boom(*args):
         raise AssertionError("per-row path called")
@@ -598,10 +620,74 @@ def test_candidate_gains_along_real_runs(name, monkeypatch):
     assert len(seen) > 100
 
 
+def test_candidate_gains_one_entropy_call(monkeypatch):
+    """The split search calls the scalar _entropy at most once (for the
+    leaf itself); every candidate's children come from one array pass."""
+    from repro.classifiers import hoeffding_tree as ht
+
+    calls, per_search = [], []
+    entropy, gains = ht._entropy, HoeffdingTree._candidate_gains
+
+    def counted_entropy(counts):
+        calls.append(1)
+        return entropy(counts)
+
+    def counted_gains(self, st):
+        before = len(calls)
+        out = gains(self, st)
+        per_search.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(ht, "_entropy", counted_entropy)
+    monkeypatch.setattr(HoeffdingTree, "_candidate_gains", counted_gains)
+    for name in ("RBF", "Arabic"):
+        ds = _stream(name)
+        tree = HoeffdingTree(ds.n_features, ds.n_classes, grace_period=10)
+        for j in range(len(ds)):
+            tree.partial_fit(ds.X[j], int(ds.y[j]))
+    g = np.random.default_rng(3)
+    for n_classes in (2, 9, 130):
+        HoeffdingTree(6, n_classes)._candidate_gains(_random_stats(g, 6, n_classes, 40))
+    assert len(per_search) > 100
+    assert max(per_search) <= 1
+
+
+@pytest.mark.parametrize("name", ["RBF", "Arabic"])
+def test_running_total_equals_class_counts_sum(name, monkeypatch):
+    """GaussianNB.total equals class_counts.sum() after every update: in
+    a tree's leaves, in DWM's experts and in ARF's trees, which fit each
+    row up to 10 times in a row (its Poisson(6) weight)."""
+    from repro.classifiers.ensembles import ARF, DWM
+
+    fit, updated = GaussianNB.partial_fit, {}
+
+    def checked_fit(self, x, y):
+        fit(self, x, y)
+        assert self.total == self.class_counts.sum()
+        updated[id(self)] = updated.get(id(self), 0) + 1
+
+    monkeypatch.setattr(GaussianNB, "partial_fit", checked_fit)
+    ds = _stream(name)
+    tree = HoeffdingTree(ds.n_features, ds.n_classes)
+    dwm, arf = DWM(ds.n_features, ds.n_classes), ARF(ds.n_features, ds.n_classes)
+    n_experts = 1
+    for j in range(len(ds)):
+        x, y = ds.X[j], int(ds.y[j])
+        tree.partial_fit(x, y)
+        dwm.process(x, y)
+        arf.process(x, y)
+        n_experts = max(n_experts, len(dwm.experts))
+    assert tree.growth_events and n_experts > 1
+    assert any(t.growth_events for t in arf.trees)
+    assert len(updated) > 2 * arf.n_trees
+    assert sum(updated.values()) > 3 * len(ds) * arf.n_trees
+
+
 def _random_stats(g: np.random.Generator, n_features: int, n_classes: int,
                   max_count: int) -> GaussianNB:
     st = GaussianNB(n_features, n_classes)
     st.class_counts = g.integers(0, max_count + 1, n_classes).astype(float)
+    st.total = float(st.class_counts.sum())
     st.mean = g.standard_normal((n_classes, n_features)) * g.choice([1e-3, 1.0, 1e3], n_features)
     st.m2 = g.random((n_classes, n_features)) * st.class_counts[:, None] * g.uniform(0.01, 5)
     return st
@@ -643,6 +729,7 @@ def test_candidate_gains_edge_stats():
     # constant features: one whose range rounds below EPS, one just above
     st = _random_stats(g, 4, 9, 30)
     st.class_counts[:2] = 7
+    st.total = float(st.class_counts.sum())
     st.mean[:, 1], st.m2[:, 1] = 1e8, 0.0
     st.mean[:, 2], st.m2[:, 2] = 0.25, 0.0
     present = st.class_counts > 1
@@ -654,6 +741,7 @@ def test_candidate_gains_edge_stats():
     # so few observations that outer thresholds leave < 1 on a side
     st = GaussianNB(4, 9)
     st.class_counts[[0, 3]] = 2, 1
+    st.total = float(st.class_counts.sum())
     st.mean[[0, 3]] = g.standard_normal((2, 4))
     st.m2[0] = g.random(4)
     assert any(s < 1 or 3 - s < 1 for f in range(4) for s in _left_sums(st, f))
