@@ -1,4 +1,6 @@
 """Unit tests for stream generators and benchmark dataset builders."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,48 @@ class TestDatasets:
         lb = D._make_labeler(spec, 1, seed=0)
         u = np.random.default_rng(0).random(spec.n_features)
         assert la.label(u) == lb.label(u)
+
+
+#: sha256 over ``build_dataset(name, seed, length_scale=scale)`` for seeds
+#: (0, 1, 7) and scales (0.2, 0.5, 1.0), in that order: for each of X, y
+#: and ``concept_ids``, its dtype string and shape, then its raw bytes.
+#: Recorded with numpy 1.26 on x86-64; a change to how the streams are
+#: generated must leave every digest as it is.
+STREAM_SHA = {
+    "AQSex": "b56337f9274610184231f56d47618d7711adf83aa5d3dd8d42e2f27f1beafa9c",
+    "AQTemp": "a2e6bf38b716ea9d9b692ee59eb64b5e95fae7addccf23bec28d57fe23249f8f",
+    "STAGGER": "48e3eea9b9aae9d00188446c95d8b5c9f7ed4619e35dfd9dc14236cfd73c1d58",
+    "RBF": "ac0073173a00a9fdc38f8c18083ad4af51b938ffbb5290044eb74318b540c0a2",
+    "RTREE": "351cc8024e1d3c579f1e8bf5f3249915eb45690c6b2a2313e73bb47089e09758",
+    "Arabic": "d8c50dcb4481b299f6827fd9ef1777ef0cff6d4976353859c2809202647d311e",
+    "CMC": "dcb45e28042e388fc0c6b3cdf0900d7338a5c236189e6fe5fca9717fd61dee45",
+    "QG": "197211954252e28d7bfb1ba4dc00add9fb9939f0b8501bec97b8ef9d64ca462a",
+    "UCI-Wine": "ca687735d74b884a67a3e2ccd6c8d9e28b322d38d378916001244a2aaacab115",
+    "HPLANE-U": "98ac730e284b770aa445948abcc718e188a2614674383783be3b9de17f3dffc5",
+    "RTREE-U": "acc4b157cd1936b0a224c0c168279f5c0cb36131fb3fbe0198eff72a3cbec744",
+    "Synth_D": "9a5bd0159d93e23587a908f52b149fd60e4323ec883d820c41bdad8d2d999f9a",
+    "Synth_A": "fa3d48fa2aa66dc641d1556f27f2a2c6fbb9bdbda94248de3584d2fa17f4598d",
+    "Synth_F": "c96e3b0f8bae3de44b1da772b1155878251937912649042be59ec68a9330e873",
+    "Synth_DA": "dddafc9520b4b3a0da2542a7c47ea254bf9ca2e754974f233dd9e8d3b4689335",
+    "Synth_DF": "c6dc724e0e45ad5b3d2ddc8fb3eda1e9b0933a4e0822be64a65f416aef227c1a",
+    "Synth_AF": "e377dcbad93cab7d12681ae96f98ee65f3b0c389acb9a1e9639e93e388a5b07b",
+    "Synth_DAF": "3ee405364298b6c3e08e4c883e6c406f92006498eca4be17f16c159d5fa051d4",
+}
+
+
+def test_stream_digests_cover_every_dataset():
+    assert list(STREAM_SHA) == D.DATASET_NAMES
+
+
+@pytest.mark.parametrize("name", D.DATASET_NAMES)
+def test_stream_digest(name):
+    h = hashlib.sha256()
+    for seed in (0, 1, 7):
+        for scale in (0.2, 0.5, 1.0):
+            ds = D.build_dataset(name, seed, length_scale=scale)
+            assert ds.X.dtype == np.float64
+            assert ds.y.dtype == ds.concept_ids.dtype == np.int64
+            for a in (ds.X, ds.y, ds.concept_ids):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == STREAM_SHA[name]
