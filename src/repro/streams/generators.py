@@ -14,6 +14,14 @@ A *concept* is a pair (labeler, channel):
 Keeping the labeler on the latent ``u`` while drifting the observation
 transform lets Synth_* streams drift purely in p(X) (fixed labeler),
 while the -U datasets change labeler *and* channel per concept.
+
+``generate_segment`` builds a segment in array passes. Each labeler has
+one method, ``labels(U)``, which labels a whole ``(n, d)`` block and is
+called once per segment. Only the features with ρ ≠ 0 run the AR(1)
+recursion row by row; for ρ = 0 the step ``0·z + 1.0·ε`` is exactly ε,
+so those columns are the innovations themselves. The block forms give
+the same floats as labelling and recursing one row at a time (the
+per-row forms are references in ``tests/reference.py``).
 """
 from __future__ import annotations
 
@@ -42,13 +50,15 @@ class StaggerLabeler:
     def __init__(self, variant: int):
         self.variant = variant % 3
 
-    def label(self, u: np.ndarray) -> int:
-        size, color, shape = (np.minimum((u * 3).astype(int), 2))[:3]
+    def labels(self, U: np.ndarray) -> np.ndarray:
+        size, color, shape = np.minimum((U[:, :3] * 3).astype(int), 2).T
         if self.variant == 0:
-            return int(size == 0 and color == 0)
-        if self.variant == 1:
-            return int(color == 1 or shape == 0)
-        return int(size >= 1)
+            hit = (size == 0) & (color == 0)
+        elif self.variant == 1:
+            hit = (color == 1) | (shape == 0)
+        else:
+            hit = size >= 1
+        return hit.astype(np.int64)
 
 
 class RBFLabeler:
@@ -71,9 +81,11 @@ class RBFLabeler:
         base = np.arange(self.n_centroids) % n_classes
         self.classes = gc.permutation(base)
 
-    def label(self, u: np.ndarray) -> int:
-        d = np.linalg.norm(self.centroids - u[: self.n_features], axis=1)
-        return int(self.classes[int(np.argmin(d))])
+    def labels(self, U: np.ndarray) -> np.ndarray:
+        # (n, 12, d): each norm reduces the same contiguous last axis as
+        # one row's norm, and argmin keeps the first of tied centroids
+        diff = self.centroids - U[:, None, : self.n_features]
+        return self.classes[np.argmin(np.linalg.norm(diff, axis=2), axis=1)]
 
 
 class RandomTreeLabeler:
@@ -89,19 +101,20 @@ class RandomTreeLabeler:
         depth = max(self.min_depth, int(np.ceil(np.log2(max(n_classes, 2)))))
         g = np.random.default_rng(seed)
         n_internal = 2**depth - 1
-        self.feats = list(g.integers(0, n_features, n_internal))
-        self.thrs = list(g.random(n_internal) * 0.6 + 0.2)
+        self.feats = g.integers(0, n_features, n_internal)
+        self.thrs = g.random(n_internal) * 0.6 + 0.2
         n_leaves = 2**depth
         # round-robin base guarantees every class appears, then shuffle
         base = np.arange(n_leaves) % n_classes
         self.leaves = g.permutation(base)
         self.depth = depth
 
-    def label(self, u: np.ndarray) -> int:
-        node = 0
+    def labels(self, U: np.ndarray) -> np.ndarray:
+        rows = np.arange(len(U))
+        node = np.zeros(len(U), dtype=np.int64)
         for _ in range(self.depth):
-            node = 2 * node + (1 if u[self.feats[node]] > self.thrs[node] else 2)
-        return int(self.leaves[node - (2**self.depth - 1)])
+            node = 2 * node + np.where(U[rows, self.feats[node]] > self.thrs[node], 1, 2)
+        return self.leaves[node - (2**self.depth - 1)]
 
 
 class HyperplaneLabeler:
@@ -114,8 +127,13 @@ class HyperplaneLabeler:
         g = np.random.default_rng(seed)
         self.w = g.normal(size=n_features)
 
-    def label(self, u: np.ndarray) -> int:
-        return int(np.dot(self.w, u[: self.n_features]) > 0.5 * self.w.sum())
+    def labels(self, U: np.ndarray) -> np.ndarray:
+        # w @ (d, 1) per row makes the same BLAS ddot call, with w first,
+        # as np.dot(w, u). U @ w (gemv) and u @ w (ddot with u first) can
+        # both round the last bit differently: with d odd, the kernel's
+        # result depends on which operand comes first.
+        wu = np.matmul(self.w, U[:, : self.n_features, None])[:, 0]
+        return (wu > 0.5 * self.w.sum()).astype(np.int64)
 
 
 # ---------------------------------------------------------------- channel
@@ -183,11 +201,19 @@ def generate_segment(
     d = channel.n_features
     z = rng.normal(size=d) if z0 is None else z0.copy()
     eps = rng.normal(size=(n, d))
-    Z = np.empty((n, d))
-    innov = np.sqrt(1.0 - channel.rho**2)
-    for t in range(n):
-        z = channel.rho * z + innov * eps[t]
-        Z[t] = z
+    # for rho = 0, 0·z + 1.0·ε is exactly ε, so only the features with
+    # rho != 0 run the AR(1) recursion, over their columns of eps
+    Z = eps
+    ar = np.flatnonzero(channel.rho)
+    if len(ar):
+        rho, e = channel.rho[ar], eps[:, ar]
+        innov = np.sqrt(1.0 - rho**2)
+        z_ar = z[ar]
+        for t in range(n):
+            z_ar = rho * z_ar + innov * e[t]
+            Z[t, ar] = z_ar
+    if n:
+        z = Z[-1].copy()
     U = _norm_cdf(Z)
     skew = channel.skew
     G = np.where(
@@ -199,5 +225,5 @@ def generate_segment(
     X = channel.shift + channel.scale * G + channel.amp * np.sin(
         2 * np.pi * channel.freq * tt + channel.phase
     )
-    y = np.array([labeler.label(u) for u in U])
+    y = labeler.labels(U)
     return X, y, z

@@ -19,7 +19,11 @@ batched or single-pass form:
 - :func:`naive_bayes_proba` (one row, one class at a time) against
   ``GaussianNB.predict_proba`` and ``predict_proba_batch``, and
   :func:`tree_proba` (one row's leaf score, walking :func:`path`)
-  against ``HoeffdingTree.predict`` and ``predict_batch``.
+  against ``HoeffdingTree.predict`` and ``predict_batch``;
+- :func:`label` (one row through one labeler) against each labeler's
+  ``labels`` of a block, and :func:`generate_segment` (the AR(1)
+  recursion over every feature, then one :func:`label` per row) against
+  ``generators.generate_segment``.
 
 The tests compare them with ``np.array_equal`` or exact equality unless
 they say otherwise.
@@ -32,6 +36,13 @@ from repro.classifiers.hoeffding_tree import _EPS as _TREE_EPS
 from repro.classifiers.hoeffding_tree import _N_CANDIDATES, _entropy, _erf
 from repro.classifiers.naive_bayes import _EPS as _NB_EPS
 from repro.core.emd import imf_entropies
+from repro.streams.generators import (
+    HyperplaneLabeler,
+    RBFLabeler,
+    RandomTreeLabeler,
+    StaggerLabeler,
+    _norm_cdf,
+)
 
 _EPS = 1e-12
 
@@ -261,3 +272,55 @@ def tree_proba(tree, x: np.ndarray) -> np.ndarray:
     if 0 < total < 2 * tree.n_classes:
         return st.class_counts / total
     return naive_bayes_proba(st, x)
+
+
+def label(labeler, u: np.ndarray) -> int:
+    """The class that ``labeler`` gives one latent row ``u``."""
+    if isinstance(labeler, StaggerLabeler):
+        size, color, shape = (np.minimum((u * 3).astype(int), 2))[:3]
+        if labeler.variant == 0:
+            return int(size == 0 and color == 0)
+        if labeler.variant == 1:
+            return int(color == 1 or shape == 0)
+        return int(size >= 1)
+    if isinstance(labeler, RBFLabeler):
+        d = np.linalg.norm(labeler.centroids - u[: labeler.n_features], axis=1)
+        return int(labeler.classes[int(np.argmin(d))])
+    if isinstance(labeler, RandomTreeLabeler):
+        node = 0
+        for _ in range(labeler.depth):
+            node = 2 * node + (1 if u[labeler.feats[node]] > labeler.thrs[node] else 2)
+        return int(labeler.leaves[node - (2**labeler.depth - 1)])
+    if isinstance(labeler, HyperplaneLabeler):
+        w = labeler.w
+        return int(np.dot(w, u[: labeler.n_features]) > 0.5 * w.sum())
+    raise TypeError(type(labeler).__name__)
+
+
+def generate_segment(labeler, channel, n: int, rng: np.random.Generator,
+                     t0: int = 0, z0: np.ndarray | None = None):
+    """One concept segment, one row at a time: the AR(1) step over every
+    feature, whatever its rho, then :func:`label` per row. Returns
+    (X, y, z_final) with the same random draws, in the same order, as
+    ``generators.generate_segment``."""
+    d = channel.n_features
+    z = rng.normal(size=d) if z0 is None else z0.copy()
+    eps = rng.normal(size=(n, d))
+    Z = np.empty((n, d))
+    innov = np.sqrt(1.0 - channel.rho**2)
+    for t in range(n):
+        z = channel.rho * z + innov * eps[t]
+        Z[t] = z
+    U = _norm_cdf(Z)
+    skew = channel.skew
+    G = np.where(
+        np.abs(skew) > 1e-9,
+        (np.exp(skew * Z) - 1.0) / np.where(np.abs(skew) > 1e-9, skew, 1.0),
+        Z,
+    )
+    tt = (t0 + np.arange(n))[:, None]
+    X = channel.shift + channel.scale * G + channel.amp * np.sin(
+        2 * np.pi * channel.freq * tt + channel.phase
+    )
+    y = np.array([label(labeler, u) for u in U])
+    return X, y, z

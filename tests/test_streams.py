@@ -13,6 +13,7 @@ from repro.streams.generators import (
     StaggerLabeler,
     generate_segment,
 )
+from tests import reference as ref
 
 
 class TestLabelers:
@@ -28,7 +29,7 @@ class TestLabelers:
         ],
     )
     def test_stagger_truth_table(self, variant, u, expected):
-        assert StaggerLabeler(variant).label(u) == expected
+        assert ref.label(StaggerLabeler(variant), u) == expected
 
     def test_rbf_concepts_differ_only_in_labels(self):
         a = RBFLabeler(5, 3, base_seed=1, concept_seed=10)
@@ -44,7 +45,7 @@ class TestLabelers:
     def test_random_tree_labels_in_range(self, k):
         lab = RandomTreeLabeler(6, k, seed=3)
         g = np.random.default_rng(0)
-        labels = {lab.label(g.random(6)) for _ in range(300)}
+        labels = {ref.label(lab, g.random(6)) for _ in range(300)}
         assert labels <= set(range(k))
         assert len(labels) >= 2
 
@@ -52,7 +53,7 @@ class TestLabelers:
         a = RandomTreeLabeler(4, 2, seed=7)
         b = RandomTreeLabeler(4, 2, seed=7)
         u = np.random.default_rng(1).random(4)
-        assert a.label(u) == b.label(u)
+        assert ref.label(a, u) == ref.label(b, u)
 
     def test_random_tree_depth_covers_classes(self):
         lab = RandomTreeLabeler(4, 7, seed=1)  # needs depth >= 3
@@ -62,8 +63,134 @@ class TestLabelers:
     def test_hyperplane_splits_space(self):
         lab = HyperplaneLabeler(5, seed=2)
         g = np.random.default_rng(0)
-        labels = [lab.label(g.random(5)) for _ in range(500)]
+        labels = [ref.label(lab, g.random(5)) for _ in range(500)]
         assert 0.15 < np.mean(labels) < 0.85
+
+
+def _assert_labels_match(lab, U):
+    y = lab.labels(U)
+    assert y.dtype == np.int64 and y.shape == (len(U),)
+    np.testing.assert_array_equal(y, [ref.label(lab, u) for u in U])
+    return y
+
+
+class TestBlockLabels:
+    """Each labeler's ``labels(U)`` equals the per-row reference."""
+
+    @pytest.mark.parametrize("variant", [0, 1, 2])
+    def test_stagger(self, variant):
+        # u·3 integral (0, 1/3, 2/3, 1) and the floats just below
+        edges = np.array([0.0, 1 / 3, 2 / 3, 1.0])
+        assert np.array_equal(edges * 3, np.arange(4.0))
+        values = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
+        grid = np.stack(np.meshgrid(values, values, values), -1).reshape(-1, 3)
+        U = np.vstack([grid, np.random.default_rng(variant).random((300, 3))])
+        y = _assert_labels_match(StaggerLabeler(variant), U)
+        assert set(y) == {0, 1}
+
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    def test_rbf(self, d, k):
+        lab = RBFLabeler(d, k, base_seed=d, concept_seed=k)
+        g = np.random.default_rng(d * 10 + k)
+        c = lab.centroids
+        i, j = np.triu_indices(len(c), 1)
+        U = np.vstack([g.random((400, d)), (c[i] + c[j]) / 2])  # midpoints
+        _assert_labels_match(lab, U)
+
+    def test_rbf_exact_tie_takes_first_centroid(self):
+        lab = RBFLabeler(4, 3, base_seed=0, concept_seed=0)
+        b = np.flatnonzero(lab.classes != lab.classes[0])[-1]
+        lab.centroids[:] = 0.0
+        lab.centroids[0] = 0.25
+        lab.centroids[b] = 0.75
+        U = np.full((3, 4), 0.5)  # distance 0.5 from both, exactly
+        y = _assert_labels_match(lab, U)
+        np.testing.assert_array_equal(y, lab.classes[0])
+
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    def test_random_tree(self, d, k):
+        lab = RandomTreeLabeler(d, k, seed=d * 10 + k)
+        g = np.random.default_rng(k)
+        U = [g.random((300, d))]
+        for f, thr in zip(lab.feats, lab.thrs):
+            for v in (thr, np.nextafter(thr, 1.0), np.nextafter(thr, 0.0)):
+                rows = g.random((20, d))
+                rows[:, f] = v  # on, just above and just below a split
+                U.append(rows)
+        _assert_labels_match(lab, np.vstack(U))
+
+    @pytest.mark.parametrize("d", [2, 5, 10, 11])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_hyperplane(self, d, seed):
+        lab = HyperplaneLabeler(d, seed=seed)
+        g = np.random.default_rng(seed)
+        w = lab.w
+        R = g.random((200, d)) - 0.5
+        on_plane = 0.5 + R - np.outer(R @ w / (w @ w), w)  # w·u ≈ w·0.5
+        U = np.vstack([g.random((300, d)), on_plane, np.full((1, d), 0.5)])
+        _assert_labels_match(lab, U)
+
+
+class TestSegmentArrayPasses:
+    _LABELERS = (StaggerLabeler, RBFLabeler, RandomTreeLabeler, HyperplaneLabeler)
+
+    def test_no_per_row_label_method(self):
+        for cls in self._LABELERS:
+            assert not hasattr(cls, "label")
+
+    def _count_labels(self, monkeypatch) -> list:
+        calls = []
+        for cls in self._LABELERS:
+            def counted(lab, U, _orig=cls.labels):
+                calls.append(len(U))
+                return _orig(lab, U)
+            monkeypatch.setattr(cls, "labels", counted)
+        return calls
+
+    def test_generate_segment_labels_once(self, monkeypatch):
+        calls = self._count_labels(monkeypatch)
+        lab = RandomTreeLabeler(3, 2, 0)
+        generate_segment(lab, Channel(n_features=3), 75, np.random.default_rng(0))
+        assert calls == [75]
+
+    @pytest.mark.parametrize("name", ["STAGGER", "RBF", "RTREE", "HPLANE-U", "Synth_A"])
+    def test_build_dataset_labels_once_per_segment(self, monkeypatch, name):
+        calls = self._count_labels(monkeypatch)
+        ds = D.build_dataset(name, 1, length_scale=0.2)
+        spec = D.SPECS[name]
+        seg = max(40, int(spec.seg_len * 0.2))
+        assert calls == [seg] * (spec.n_concepts * spec.reps)
+        assert sum(calls) == len(ds)
+
+    @pytest.mark.parametrize("rho", [
+        [0.9, 0.0, 0.5, 0.0, -0.3],   # mixed
+        [0.0, 0.0, -0.0, 0.0, 0.0],   # no recursion at all
+        [0.2, 0.95, 0.5, 0.7, 0.1],   # every feature recurs
+    ])
+    @pytest.mark.parametrize("make", [
+        lambda: StaggerLabeler(1),
+        lambda: RBFLabeler(5, 3, base_seed=2, concept_seed=4),
+        lambda: RandomTreeLabeler(5, 3, seed=5),
+        lambda: HyperplaneLabeler(5, seed=6),
+    ])
+    def test_segment_matches_reference_loop(self, rho, make):
+        lab = make()
+        base = Channel.random(5, seed=9, distribution=True, frequency=True)
+        ch = Channel(n_features=5, shift=base.shift, scale=base.scale, skew=base.skew,
+                     rho=np.array(rho), amp=base.amp, freq=base.freq, phase=base.phase)
+        got_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        z_got = z_ref = None
+        t0 = 0
+        for n in (60, 45, 1):  # continuations from z0
+            X, y, z_got = generate_segment(lab, ch, n, got_rng, t0=t0, z0=z_got)
+            Xr, yr, z_ref = ref.generate_segment(lab, ch, n, ref_rng, t0=t0, z0=z_ref)
+            assert X.dtype == Xr.dtype and y.dtype == yr.dtype == np.int64
+            assert np.array_equal(X, Xr) and np.array_equal(y, yr)
+            assert np.array_equal(z_got, z_ref)
+            t0 += n
+        assert got_rng.random() == ref_rng.random()  # same draws, same order
 
 
 class TestChannel:
@@ -179,7 +306,7 @@ class TestDatasets:
         la = D._make_labeler(spec, 0, seed=0)
         lb = D._make_labeler(spec, 1, seed=0)
         u = np.random.default_rng(0).random(spec.n_features)
-        assert la.label(u) == lb.label(u)
+        assert ref.label(la, u) == ref.label(lb, u)
 
 
 #: sha256 over ``build_dataset(name, seed, length_scale=scale)`` for seeds
