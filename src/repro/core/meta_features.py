@@ -127,12 +127,12 @@ def compute_sequence_features(
                 v["kurtosis"] = np.mean(z**4) - 3.0
     if n > 2 and want & {"acf1", "acf2", "pacf1", "pacf2"}:
         c = x - mean
-        den = np.dot(c, c)
+        den = np.add.reduce(c * c)
         if not den < _EPS:
-            r1 = v["acf1"] = np.dot(c[:-1], c[1:]) / den
+            r1 = v["acf1"] = np.add.reduce(c[:-1] * c[1:]) / den
             v["pacf1"] = np.clip(r1, -1.0, 1.0)
             if n > 3:
-                r2 = v["acf2"] = np.dot(c[:-2], c[2:]) / den
+                r2 = v["acf2"] = np.add.reduce(c[:-2] * c[2:]) / den
                 d = 1.0 - r1 * r1
                 v["pacf2"] = np.clip((r2 - r1 * r1) / d if abs(d) > _EPS else 0.0, -1.0, 1.0)
     if "mutual_info" in want:

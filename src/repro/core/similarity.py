@@ -35,10 +35,10 @@ def similarity(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> flo
     if w is None:
         w = np.ones_like(a)
     wa, wb = w * (a - _CENTER), w * (b - _CENTER)
-    na, nb = np.linalg.norm(wa), np.linalg.norm(wb)
+    na, nb = np.sqrt(np.add.reduce(wa * wa)), np.sqrt(np.add.reduce(wb * wb))
     if na < _EPS or nb < _EPS:
         return 1.0 if na < _EPS and nb < _EPS else 0.0
-    return float(np.dot(wa, wb) / (na * nb))
+    return float(np.add.reduce(wa * wb) / (na * nb))
 
 
 _SIGMA_FLOOR = 0.01  # on the [0,1] normalized scale

@@ -78,10 +78,10 @@ def _acf(x: np.ndarray, lag: int) -> float:
     if len(x) <= lag + 1:
         return 0.0
     x = x - np.mean(x)
-    denom = float(np.dot(x, x))
+    denom = float(np.add.reduce(x * x))
     if denom < _EPS:
         return 0.0
-    return float(np.dot(x[:-lag], x[lag:]) / denom)
+    return float(np.add.reduce(x[:-lag] * x[lag:]) / denom)
 
 
 def f_acf1(x: np.ndarray) -> float:

@@ -28,6 +28,15 @@ covers the raw bytes of a run's observable outputs:
 The digests were recorded with numpy 1.26 on x86-64. A float that moves
 in its last bit changes a digest, which is the point; the plain summary
 assertions next to each digest say which part moved.
+
+They hold under any OpenBLAS kernel because of one reduction rule: no
+1-D vector on the similarity or sequence-feature paths is reduced
+through BLAS. A BLAS dot product or norm sums in an order that depends
+on the kernel OpenBLAS picks for the CPU at run time, so
+``similarity`` and the ACF of ``compute_sequence_features`` sum
+elementwise products with ``np.add.reduce``, whose order is fixed.
+``tests/test_reduction_rule.py`` re-runs this module under several
+forced kernels and checks the rule in the source.
 """
 import hashlib
 
@@ -42,13 +51,13 @@ from repro.streams.datasets import build_dataset
 
 FICSUM_STEPS_SHA = "f4e8ddcbc1cbc0c44e5a5d148258b94b907027b2a3b42a7aaf42c2e79ceb0bfc"
 FICSUM_DRIFTS_SHA = "be671ecff09a873c43de579b1659993cbd3cdadf18fecc289f902bf3d17b643f"
-FICSUM_DISC_SHA = "85adfdab634d83c76a8f7025bc8b7855ed365edf144a519c7aa2925a37284e52"
-MONITOR_SHA = "609ecd2aa3d7c3c3e5b07d5e3519e1187a0010908cc63e1c5776e1bb80617361"
-FICSUM_ADWIN_SHA = "8d6fdd44f811450719f2bf9420130b84e6245bcad3fbf08b23af6809f8535a3f"
+FICSUM_DISC_SHA = "c1259a068c0387982f2c65353b06cc7c40ad9d8569a09dcbfddd7800c5aa3a3d"
+MONITOR_SHA = "4f516b4e324b3e832b44bf6bbaef8a7a21b1f4ae0a88b181ed9951fab2eb5af9"
+FICSUM_ADWIN_SHA = "1b10cd759cb95ad0a291c786cf3b1fd874f95633d506efeaa7277dc48b93b2c2"
 MEAN_STEPS_SHA = "78a1ca4aa003e8b9762eae55b8ce22bef62a5dfcf9d5ccaf6eca0d6808cb6933"
 MEAN_DRIFTS_SHA = "64ad8e2eb9fd93fbf82c98e490802c505619307b35f69fbad801dbff1db39527"
-MEAN_ADWIN_SHA = "971a584c19e10106c33894687e6eb76f4e41d8f86f53c5bf7456db8157094a3c"
-UNSUP_MONITOR_SHA = "a64672ad6e0d73d83790dda894f664182f745d2957aad845c48271595bb83555"
+MEAN_ADWIN_SHA = "54c60b890ee86fcdf81f5b836dc27227fca0e1063a16313cfc1107ad421efeb9"
+UNSUP_MONITOR_SHA = "37d0fe102bc0229c291c944567943920957fb06de931db34514bc6f25cd48038"
 BASELINE_STEPS_SHA = {
     "HTCD": "bbf85b69d4b78652375a2e02ae63dfe5300edceae2e2cf80753a4f6e661d9c15",
     "RCD": "56341332f26298b36c778ea7142d14638e27b92ff1dfdaa39224dcd89eedb1f7",
