@@ -22,7 +22,7 @@ from repro.core.fingerprint import (
     Normalizer,
     compute_fingerprint,
 )
-from repro.core.similarity import dynamic_weights, similarity
+from repro.core.similarity import discrimination_factor, dynamic_weights, similarity
 from repro.streams.datasets import StreamDataset
 
 # observations of its first occurrence each per-concept classifier trains on
@@ -90,8 +90,9 @@ def oracle_discrimination_ds(
 
     mus = np.stack([reps[c].mu for c in concepts])
     sigmas = np.stack([reps[c].sigma for c in concepts])
+    w_d = discrimination_factor(mus, sigmas)
     weights = {
-        c: dynamic_weights(np.where(reps[c].count >= 2, reps[c].sigma, 1.0), mus, sigmas)
+        c: dynamic_weights(np.where(reps[c].count >= 2, reps[c].sigma, 1.0), w_d)
         for c in concepts
     }
 

@@ -211,7 +211,15 @@ class Normalizer:
 
 
 class ConceptFingerprint:
-    """Online per-dimension (μ, σ, count) over incorporated fingerprints."""
+    """Online per-dimension (μ, σ, count) over incorporated fingerprints.
+
+    ``version`` counts the calls to the two mutators, ``incorporate`` and
+    ``reset_dims``; the repository keys its cached discrimination factor
+    on it.
+    """
+
+    #: a class default, so that a fingerprint pickled without it loads
+    version = 0
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -230,6 +238,7 @@ class ConceptFingerprint:
         )
 
     def incorporate(self, v: np.ndarray) -> None:
+        self.version += 1
         self.count += 1
         delta = v - self.mu
         self.mu += delta / self.count
@@ -243,5 +252,6 @@ class ConceptFingerprint:
         continuous — a hard reset left stale means that destabilized the
         similarity series on datasets with frequent tree growth.
         """
+        self.version += 1
         self.count[mask] *= 0.25
         self.m2[mask] *= 0.25

@@ -226,8 +226,7 @@ class DriftMonitor:
         # dims without a trained distribution (count<2, e.g. just
         # plasticity-reset) get neutral scale, not the 1/σ maximum
         ref_sigma = np.where(ref.count >= 2, ref.sigma, 1.0)
-        stacks = repo.stat_stacks() if repo is not None else None
-        w = dynamic_weights(ref_sigma, *(stacks or (None, None)))
+        w = dynamic_weights(ref_sigma, repo.discrimination() if repo is not None else None)
         # dims whose value never varied globally carry no signal at all
         degenerate = (self.normalizer.hi - self.normalizer.lo) < 1e-9
         return np.where(degenerate, 0.0, w)

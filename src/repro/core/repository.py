@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fingerprint import ConceptFingerprint
+from repro.core.similarity import discrimination_factor
 
 
 class _Welford:
@@ -66,7 +67,11 @@ class ConceptRecord:
 
 
 class Repository:
-    """Ordered collection of ConceptRecords with stat-stack helpers."""
+    """Ordered collection of ConceptRecords and their discrimination factor."""
+
+    #: (key, w_d) of the last :meth:`discrimination`; a class default, so
+    #: that a repository pickled without it loads
+    _wd_cache: tuple = (None, None)
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -89,8 +94,24 @@ class Repository:
     def remove(self, rec: ConceptRecord) -> None:
         self.records.remove(rec)
 
-    def stat_stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(μ, σ, σ_SC) stacks over concepts with trained fingerprints."""
+    def discrimination(self) -> np.ndarray | None:
+        """The discrimination factor w_d over the concepts with trained
+        fingerprints (``discrimination_factor`` of their μ, σ and σ_SC
+        stacks), or None with fewer than two of them.
+
+        w_d is recomputed only when the repository changes. The key
+        (next id, record count, sum of fingerprint and ``sc_stats``
+        versions) moves on every change: versions only grow, ``create``
+        always moves the next id, and ``remove`` without a ``create``
+        shrinks the count.
+        """
+        key = (self._next_id, len(self.records),
+               sum(r.fingerprint.version + r.sc_stats.version for r in self.records))
+        if key != self._wd_cache[0]:
+            self._wd_cache = key, self._discrimination()
+        return self._wd_cache[1]
+
+    def _discrimination(self) -> np.ndarray | None:
         trained = [r for r in self.records if r.fingerprint.n_incorporated >= 2]
         if len(trained) < 2:
             return None
@@ -104,4 +125,6 @@ class Repository:
                 for r in trained
             ]
         )
-        return mus, sigmas, sc
+        w_d = discrimination_factor(mus, sigmas, sc)
+        w_d.flags.writeable = False
+        return w_d

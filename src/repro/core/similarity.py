@@ -8,7 +8,10 @@ difference" idea bounded to [0, 1].
 
 ``dynamic_weights`` implements w_mi = w_sigma * w_d with
 w_sigma = 1/σ_mi (scale) and w_d = max(inter-concept Fisher score,
-intra-classifier Fisher score) (discrimination).
+intra-classifier Fisher score) (discrimination). w_d depends only on
+the repository's statistics, so ``discrimination_factor`` computes it
+apart and :meth:`repro.core.repository.Repository.discrimination`
+caches it per repository state.
 """
 from __future__ import annotations
 
@@ -73,31 +76,33 @@ def intra_classifier_fisher(
     return np.mean(ratio, axis=0)
 
 
-def dynamic_weights(
-    ref_sigma: np.ndarray,
-    repo_mus: np.ndarray | None,
-    repo_sigmas: np.ndarray | None,
-    sc_sigmas: np.ndarray | None = None,
+def discrimination_factor(
+    mus: np.ndarray, sigmas: np.ndarray, sc_sigmas: np.ndarray | None = None
 ) -> np.ndarray:
-    """Combined weight vector, normalized to mean 1 and clipped.
+    """w_d over (n_concepts, dim) stacks of at least two concepts'
+    statistics: the inter-concept Fisher score, or its max with the
+    intra-classifier one when ``sc_sigmas`` is given, scaled by its
+    median and clipped to [0.25, 4]."""
+    w_d = inter_concept_fisher(mus, sigmas)
+    if sc_sigmas is not None and len(sc_sigmas) >= 1:
+        w_d = np.maximum(w_d, intra_classifier_fisher(sc_sigmas, sigmas[: len(sc_sigmas)]))
+    # clamp the discrimination factor: unbounded Fisher scores would
+    # concentrate all weight on a handful of dims, making similarity
+    # a noisy ±1 sign (observed during development)
+    med = np.median(w_d[w_d > _EPS]) if np.any(w_d > _EPS) else 1.0
+    return np.clip(w_d / max(med, _EPS), 0.25, 4.0)
+
+
+def dynamic_weights(ref_sigma: np.ndarray, w_d: np.ndarray | None = None) -> np.ndarray:
+    """Combined weight vector w_sigma * w_d, normalized to mean 1 and clipped.
 
     ``ref_sigma`` — σ of the concept fingerprint being compared against
-    (scale weight). Repository stacks may be None/size<2, in which case
-    the discrimination weight is uniform (nothing to discriminate yet).
+    (scale weight). ``w_d`` is :func:`discrimination_factor` of the
+    repository, or None while it holds fewer than two trained concepts:
+    the discrimination weight is then uniform (nothing to discriminate yet).
     """
     w = sigma_weight(ref_sigma)
-    if repo_mus is not None and len(repo_mus) >= 2:
-        v_s = inter_concept_fisher(repo_mus, repo_sigmas)
-        if sc_sigmas is not None and len(sc_sigmas) >= 1:
-            v_sc = intra_classifier_fisher(sc_sigmas, repo_sigmas[: len(sc_sigmas)])
-            w_d = np.maximum(v_s, v_sc)
-        else:
-            w_d = v_s
-        # clamp the discrimination factor: unbounded Fisher scores would
-        # concentrate all weight on a handful of dims, making similarity
-        # a noisy ±1 sign (observed during development)
-        med = np.median(w_d[w_d > _EPS]) if np.any(w_d > _EPS) else 1.0
-        w_d = np.clip(w_d / max(med, _EPS), 0.25, 4.0)
+    if w_d is not None:
         w = w * w_d
     mean = w.mean()
     if mean > _EPS:

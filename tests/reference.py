@@ -23,7 +23,12 @@ batched or single-pass form:
 - :func:`label` (one row through one labeler) against each labeler's
   ``labels`` of a block, and :func:`generate_segment` (the AR(1)
   recursion over every feature, then one :func:`label` per row) against
-  ``generators.generate_segment``.
+  ``generators.generate_segment``;
+- :func:`repository_discrimination` (the μ, σ and σ_SC stacks built
+  afresh on every call) against ``Repository.discrimination``, which
+  caches w_d per repository state, and :func:`dynamic_weights` (w_d
+  recomputed inside every weight call) against
+  ``similarity.dynamic_weights`` of ``similarity.discrimination_factor``.
 
 The tests compare them with ``np.array_equal`` or exact equality unless
 they say otherwise.
@@ -36,6 +41,13 @@ from repro.classifiers.hoeffding_tree import _EPS as _TREE_EPS
 from repro.classifiers.hoeffding_tree import _N_CANDIDATES, _entropy, _erf
 from repro.classifiers.naive_bayes import _EPS as _NB_EPS
 from repro.core.emd import imf_entropies
+from repro.core.similarity import _EPS as _SIM_EPS
+from repro.core.similarity import (
+    discrimination_factor,
+    inter_concept_fisher,
+    intra_classifier_fisher,
+    sigma_weight,
+)
 from repro.streams.generators import (
     HyperplaneLabeler,
     RBFLabeler,
@@ -324,3 +336,42 @@ def generate_segment(labeler, channel, n: int, rng: np.random.Generator,
     )
     y = np.array([label(labeler, u) for u in U])
     return X, y, z
+
+
+def repository_stacks(repo):
+    """(μ, σ, σ_SC) stacks over ``repo``'s records with trained
+    fingerprints, in record order, or None with fewer than two; an
+    untrained ``sc_stats`` contributes zeros."""
+    trained = [r for r in repo if r.fingerprint.n_incorporated >= 2]
+    if len(trained) < 2:
+        return None
+    sc = [r.sc_stats.sigma if r.sc_stats.n_incorporated >= 2 else np.zeros(repo.dim)
+          for r in trained]
+    return (np.stack([r.fingerprint.mu for r in trained]),
+            np.stack([r.fingerprint.sigma for r in trained]), np.stack(sc))
+
+
+def repository_discrimination(repo):
+    """w_d of ``repo`` from freshly built stacks, or None."""
+    stacks = repository_stacks(repo)
+    return None if stacks is None else discrimination_factor(*stacks)
+
+
+def dynamic_weights(ref_sigma, repo_mus=None, repo_sigmas=None, sc_sigmas=None):
+    """w_sigma * w_d in one call, w_d recomputed from the stacks: the
+    weights before the discrimination factor was split out."""
+    w = sigma_weight(ref_sigma)
+    if repo_mus is not None and len(repo_mus) >= 2:
+        v_s = inter_concept_fisher(repo_mus, repo_sigmas)
+        if sc_sigmas is not None and len(sc_sigmas) >= 1:
+            v_sc = intra_classifier_fisher(sc_sigmas, repo_sigmas[: len(sc_sigmas)])
+            w_d = np.maximum(v_s, v_sc)
+        else:
+            w_d = v_s
+        med = np.median(w_d[w_d > _SIM_EPS]) if np.any(w_d > _SIM_EPS) else 1.0
+        w_d = np.clip(w_d / max(med, _SIM_EPS), 0.25, 4.0)
+        w = w * w_d
+    mean = w.mean()
+    if mean > _SIM_EPS:
+        w = w / mean
+    return np.clip(w, 0.1, 10.0)

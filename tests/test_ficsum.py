@@ -11,7 +11,9 @@ from repro.baselines.rcd import RCD, buffers_match
 from repro.core.ficsum import FiCSUM, FicsumConfig
 from repro.core.monitor import DriftMonitor
 from repro.core.repository import Repository, _Welford
+from repro.core.similarity import discrimination_factor
 from repro.streams.datasets import build_dataset
+from tests import reference as ref
 
 
 def _run(model, ds, n=None):
@@ -55,16 +57,18 @@ class TestRepository:
         r.remove(a)
         assert len(r) == 0
 
-    def test_stat_stacks_requires_trained(self):
+    def test_discrimination_requires_trained(self):
         r = Repository(3)
         r.create(None)
         r.create(None)
-        assert r.stat_stacks() is None
+        assert r.discrimination() is None
+        assert ref.repository_stacks(r) is None
         for rec in r:
             rec.fingerprint.incorporate(np.random.default_rng(rec.id).random(3))
             rec.fingerprint.incorporate(np.random.default_rng(rec.id + 9).random(3))
-        mus, sigmas, sc = r.stat_stacks()
+        mus, sigmas, sc = ref.repository_stacks(r)
         assert mus.shape == (2, 3) and sigmas.shape == (2, 3) and sc.shape == (2, 3)
+        assert np.array_equal(r.discrimination(), discrimination_factor(mus, sigmas, sc))
 
     def test_mature_needs_history(self):
         r = Repository(2)

@@ -37,6 +37,13 @@ on the kernel OpenBLAS picks for the CPU at run time, so
 elementwise products with ``np.add.reduce``, whose order is fixed.
 ``tests/test_reduction_rule.py`` re-runs this module under several
 forced kernels and checks the rule in the source.
+
+The dynamic weights' discrimination factor w_d is cached per repository
+state (``Repository.discrimination``), keyed on (next id, record count,
+sum of the records' fingerprint and ``sc_stats`` versions). Versions
+only grow, ``create`` moves the next id and ``remove`` shrinks the
+count, so the key moves on every change and the cache leaves every
+digest here as it was.
 """
 import hashlib
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import similarity as S
+from tests import reference as ref
 
 
 def test_identical_vectors_similarity_one():
@@ -67,7 +68,7 @@ def test_intra_classifier_fisher_mean_ratio():
 
 def test_dynamic_weights_no_repo_is_scale_only():
     sig = np.array([0.1, 0.2, 0.4])
-    w = S.dynamic_weights(sig, None, None)
+    w = S.dynamic_weights(sig, None)
     # proportional to 1/sigma, normalized to mean 1
     raw = 1.0 / sig
     np.testing.assert_allclose(w, raw / raw.mean(), rtol=1e-6)
@@ -79,7 +80,7 @@ def test_dynamic_weights_mean_one_and_clipped():
     mus = g.random((3, 30))
     sigmas = g.random((3, 30)) * 0.2 + 0.01
     sc = g.random((3, 30)) * 0.1
-    w = S.dynamic_weights(sig, mus, sigmas, sc)
+    w = S.dynamic_weights(sig, S.discrimination_factor(mus, sigmas, sc))
     assert np.all(w >= 0.1 - 1e-9) and np.all(w <= 10.0 + 1e-9)
     assert w.mean() == pytest.approx(1.0, abs=0.35)  # clip may shift mean
 
@@ -88,5 +89,21 @@ def test_dynamic_weights_boosts_separating_dim():
     sig = np.array([0.1, 0.1])
     mus = np.array([[0.1, 0.5], [0.9, 0.5]])
     sigmas = np.array([[0.05, 0.05], [0.05, 0.05]])
-    w = S.dynamic_weights(sig, mus, sigmas)
+    w = S.dynamic_weights(sig, S.discrimination_factor(mus, sigmas))
     assert w[0] > w[1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("with_sc", [True, False])
+def test_split_weights_equal_combined_reference(seed, with_sc):
+    """dynamic_weights of discrimination_factor equals w_d recomputed
+    inside one weight call, bit for bit."""
+    g = np.random.default_rng(seed)
+    n, d = int(g.integers(2, 6)), 30
+    sig = np.where(g.random(d) < 0.2, 1.0, g.random(d) * 0.3)
+    mus = g.random((n, d))
+    sigmas = np.where(g.random((n, d)) < 0.1, 0.0, g.random((n, d)) * 0.2)
+    sc = np.where(g.random((n, d)) < 0.3, 0.0, g.random((n, d)) * 0.1) if with_sc else None
+    w = S.dynamic_weights(sig, S.discrimination_factor(mus, sigmas, sc))
+    assert np.array_equal(w, ref.dynamic_weights(sig, mus, sigmas, sc))
+    assert np.array_equal(S.dynamic_weights(sig, None), ref.dynamic_weights(sig))
