@@ -10,7 +10,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from repro.sparkjobs.windows import assign_windows, stream_to_df, window_fingerprints
 from repro.streams.datasets import build_dataset
 
