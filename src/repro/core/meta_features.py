@@ -127,6 +127,7 @@ def compute_sequence_features(
                 v["kurtosis"] = np.mean(z**4) - 3.0
     if n > 2 and want & {"acf1", "acf2", "pacf1", "pacf2"}:
         c = x - mean
+        # np.add.reduce, not BLAS np.dot (the reduction rule in DESIGN.md)
         den = np.add.reduce(c * c)
         if not den < _EPS:
             r1 = v["acf1"] = np.add.reduce(c[:-1] * c[1:]) / den

@@ -15,6 +15,8 @@ caches it per repository state.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = 1e-6
@@ -38,10 +40,12 @@ def similarity(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> flo
     if w is None:
         w = np.ones_like(a)
     wa, wb = w * (a - _CENTER), w * (b - _CENTER)
-    na, nb = np.sqrt(np.add.reduce(wa * wa)), np.sqrt(np.add.reduce(wb * wb))
+    # np.add.reduce, not BLAS: its summation order does not depend on the
+    # kernel OpenBLAS picks for the CPU (DESIGN.md, the reduction rule)
+    na, nb = math.sqrt(np.add.reduce(wa * wa)), math.sqrt(np.add.reduce(wb * wb))
     if na < _EPS or nb < _EPS:
         return 1.0 if na < _EPS and nb < _EPS else 0.0
-    return float(np.add.reduce(wa * wb) / (na * nb))
+    return float(np.add.reduce(wa * wb)) / (na * nb)
 
 
 _SIGMA_FLOOR = 0.01  # on the [0,1] normalized scale
